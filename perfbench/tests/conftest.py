@@ -1,0 +1,12 @@
+"""Put the checkout's ``src`` and root on ``sys.path`` for the benchmark's tests.
+
+Run from the root of a checkout: ``python -m pytest perfbench/tests``.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)

@@ -15,11 +15,13 @@ failures the paper's deployment model must survive:
 3. a sticky ECC fault poisons a GPU: every CUDA call on it keeps failing
    with the same error until the server fails the workload over to a
    healthy spare device -- same pointers, same handles, same data;
-4. the seeded failover chaos harness (the CI soak) re-runs the whole
-   story end to end: zero lost allocations, zero double executions.
+4. the nemesis simulator (the CI soak) re-runs the whole story end to
+   end against its history checker: zero lost allocations, zero double
+   executions.
 
 Run:  python examples/failover_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the workload and kill mode -- the CI soak loops
+over seeds.)
 """
 
 from repro.cricket import CricketServer
@@ -29,8 +31,15 @@ from repro.cuda.errors import CudaError
 from repro.gpu.catalog import A100
 from repro.gpu.device import GpuDevice
 from repro.net.simclock import SimClock
-from repro.resilience import FailoverChaosHarness, FailoverChaosPlan, chaos_seeds
+from repro.resilience import chaos_seeds
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.simulation import (
+    GPU_FAULT,
+    KILL_PRIMARY,
+    NemesisEvent,
+    SimulationPlan,
+    run_simulation,
+)
 
 MiB = 1 << 20
 
@@ -90,19 +99,24 @@ def sticky_device_fault() -> None:
 
 
 def chaos_soak() -> None:
-    """Seeded primary-kill + GPU-poison schedule; nothing lost, nothing twice."""
+    """Seeded primary kill + GPU poison in the simulator; nothing lost or doubled."""
     seed = chaos_seeds(default=(2,))[0]
-    plan = FailoverChaosPlan(clients=3, rounds=4, seed=seed)
-    result = FailoverChaosHarness(plan).run()
-    assert result.clean, (
-        f"lost={result.lost_allocations} unaccounted={result.bytes_unaccounted}"
-    )
-    window = "after-execute-before-reply" if result.dangerous_window else "immediate"
-    print(f"[soak]    seed={seed}: primary killed in round {result.kill_round} "
-          f"({window}), GPU poisoned in round {result.poison_round}; "
-          f"{result.failovers} client failovers, "
-          f"{result.reply_cache_hits_after_failover} cache-answered retransmits, "
-          f"0 lost allocations, 0 double executions")
+    dangerous = seed % 2 == 0
+    schedule = [
+        NemesisEvent(4.0, KILL_PRIMARY, {"dangerous": dangerous}),
+        NemesisEvent(7.0, GPU_FAULT, {"fault": "ecc"}),
+    ]
+    result = run_simulation(SimulationPlan(seed=seed), schedule=schedule)
+    assert result.clean, result.violations
+    assert result.counters["server.standby_promotions"] == 1
+    window = "after-execute-before-reply" if dangerous else "immediate"
+    print(f"[soak]    seed={seed}: primary killed at 4 s ({window}), promoted "
+          f"standby's GPU poisoned at 7 s; "
+          f"{result.client_counters['failovers']} client failovers, "
+          f"{result.counters['server.reply_cache_hits']} cache-answered "
+          f"retransmits, {result.counters['server.device_failovers']} device "
+          f"failover; checker: 0 lost allocations, 0 double executions "
+          f"over {result.outcomes.get('ok', 0)} ops")
 
 
 def main() -> None:

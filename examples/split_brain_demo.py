@@ -21,12 +21,12 @@ acked writes silently lost at heal.  This demo walks the protection:
 3. epochs ride the op-log: a standby that has seen a newer epoch refuses
    stale ships, and the demoted primary fences the moment its ship is
    rejected;
-4. the seeded partition chaos harness (the CI soak) re-runs the story
-   across all four topologies: disjoint epochs, zero double executions,
-   zero lost acknowledged writes, a provably fenced ex-primary.
+4. the nemesis simulator (the CI soak) re-runs the story once per cut
+   shape: disjoint epochs, zero double executions, zero lost
+   acknowledged writes, a provably fenced ex-primary.
 
 Run:  python examples/split_brain_demo.py
-(CHAOS_SEED=<n> varies the schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the workload -- the CI soak loops over seeds.)
 """
 
 from repro.cricket import CricketServer
@@ -36,15 +36,19 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.errors import RpcNotLeaderError
 from repro.resilience import (
     chaos_seeds,
-    PartitionChaosHarness,
-    PartitionChaosPlan,
     PartitionPlan,
     PartitionState,
     PartitionWindow,
 )
-from repro.resilience.chaos import PARTITION_TOPOLOGIES
 from repro.resilience.failover import LoopbackEndpoint
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.simulation import (
+    PARTITION,
+    PARTITION_SHAPES,
+    NemesisEvent,
+    SimulationPlan,
+    run_simulation,
+)
 
 MiB = 1 << 20
 
@@ -144,20 +148,20 @@ def stale_epoch_ship_rejected() -> None:
 
 
 def chaos_soak() -> None:
-    """Seeded partitions across every topology; split-brain never happens."""
+    """One simulated cut per shape; split-brain never happens."""
     seed = chaos_seeds(default=(2,))[0]
-    for topology in PARTITION_TOPOLOGIES:
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology=topology, seed=seed)
-        ).run()
-        assert result.clean, result
-        served = (f"primary{result.primary_epochs_served}"
-                  f"+standby{result.standby_epochs_served}")
-        print(f"[soak]    seed={seed} {topology}: epochs {served} disjoint, "
-              f"leader={result.final_leader}@{result.final_epoch}, "
+    for shape in PARTITION_SHAPES:
+        cut = NemesisEvent(4.0, PARTITION, {"shape": shape, "duration_s": 0.8})
+        result = run_simulation(SimulationPlan(seed=seed), schedule=[cut])
+        assert result.clean and result.converged, result.violations
+        served = result.epochs_served
+        print(f"[soak]    seed={seed} {shape}: epochs primary{served['primary']}"
+              f"+standby{served['standby']} disjoint, "
+              f"leader={result.final_leader}@"
+              f"{result.counters['server.fencing_epoch']}, "
               f"0 lost acked writes, 0 unaccounted bytes, "
-              f"{result.not_leader_rejections} NOT_LEADER sheds, "
-              f"clients converged")
+              f"{result.client_counters['not_leader_rejections']} NOT_LEADER "
+              f"sheds, non-leader fenced, clients converged")
 
 
 def main() -> None:

@@ -352,8 +352,8 @@ class CricketClient:
         """Name of the endpoint the failover transport currently targets.
 
         Empty for non-failover transports.  After a fenced failover this
-        converges on the new leader's endpoint name -- the chaos harness
-        asserts exactly that.
+        converges on the new leader's endpoint name -- the simulation's
+        convergence audit asserts exactly that.
         """
         sink = self.stub.client._leader_sink()
         endpoint = getattr(sink, "active_endpoint", None)

@@ -34,9 +34,6 @@ from repro.resilience.chaos import (
     ChaosHarness,
     ChaosPlan,
     ChaosResult,
-    FailoverChaosHarness,
-    FailoverChaosPlan,
-    FailoverChaosResult,
     GrayFailureChaosHarness,
     GrayFailureChaosPlan,
     GrayFailureChaosResult,
@@ -46,9 +43,6 @@ from repro.resilience.chaos import (
     OverloadChaosHarness,
     OverloadChaosPlan,
     OverloadChaosResult,
-    PartitionChaosHarness,
-    PartitionChaosPlan,
-    PartitionChaosResult,
     SanitizerChaosHarness,
     SanitizerChaosPlan,
     SanitizerChaosResult,
@@ -143,9 +137,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosHarness",
     "ChaosResult",
-    "FailoverChaosPlan",
-    "FailoverChaosHarness",
-    "FailoverChaosResult",
     "OverloadConfig",
     "OverloadQueue",
     "OverloadController",
@@ -162,9 +153,6 @@ __all__ = [
     "PartitionWindow",
     "PartitionPlan",
     "PartitionState",
-    "PartitionChaosPlan",
-    "PartitionChaosHarness",
-    "PartitionChaosResult",
     "SlowFaultPlan",
     "SlowTransport",
     "SlowEndpoint",

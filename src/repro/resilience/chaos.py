@@ -162,207 +162,6 @@ class ChaosHarness:
         )
 
 
-# -- failover chaos: kill the *server*, poison the *GPU* ------------------
-
-
-@dataclass
-class FailoverChaosPlan:
-    """Seeded description of one primary-kill / GPU-poison chaos run.
-
-    The acceptance bar (mirrors the issue): after the primary dies -- in
-    a seeded fraction of runs *after executing but before answering* a
-    non-idempotent call, the worst window for at-most-once -- every
-    client finishes its workload against the promoted standby with
-
-    * **zero lost allocations**: every live allocation reads back its
-      exact expected bytes,
-    * **zero double-executed non-idempotent calls**: the promoted
-      server's allocator holds exactly the expected bytes, nothing more,
-
-    and a seeded GPU poison round (sticky ECC/context fault + device
-    failover onto the spare) must not disturb either property.
-    """
-
-    #: concurrent failover clients
-    clients: int = 3
-    #: allocate/compute rounds
-    rounds: int = 4
-    #: allocations each client makes per round
-    allocs_per_round: int = 3
-    #: size of each allocation (kept aligned so accounting is exact)
-    alloc_bytes: int = 1 << 20
-    #: RNG seed driving kill round, kill mode, victim and poison round
-    seed: int = 0
-    #: kill the primary during the run
-    kill_primary: bool = True
-    #: also inject a sticky device fault + device failover
-    poison_gpu: bool = True
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError("need at least one client")
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
-
-
-@dataclass
-class FailoverChaosResult:
-    """Outcome of a failover chaos run, ready for assertions."""
-
-    #: whether the primary was killed in the dangerous window
-    #: (after executing a malloc, before replying)
-    dangerous_window: bool
-    #: round (0-based) the primary died in, or None
-    kill_round: int | None
-    #: round the GPU was poisoned in, or None
-    poison_round: int | None
-    #: client-side endpoint rotations (sum over clients)
-    failovers: int
-    #: standby promotions observed (idempotent: 1 when the primary died)
-    promotions: int
-    #: retransmissions answered from the promoted server's replicated
-    #: reply cache instead of re-executing
-    reply_cache_hits_after_failover: int
-    #: sticky CUDA error codes clients observed after the poison
-    sticky_errors_seen: int
-    #: device failovers performed (poison repair)
-    device_failovers: int
-    #: allocations whose read-back bytes mismatched (must be 0)
-    lost_allocations: int
-    #: bytes on the final server beyond what live allocations account
-    #: for -- a double-executed malloc shows up here (must be 0)
-    bytes_unaccounted: int
-    #: final server's ``ServerStats.as_dict()``
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        """True when nothing was lost and nothing ran twice."""
-        return self.lost_allocations == 0 and self.bytes_unaccounted == 0
-
-
-class FailoverChaosHarness:
-    """Run a :class:`FailoverChaosPlan` against an HA Cricket pair."""
-
-    def __init__(self, plan: FailoverChaosPlan | None = None) -> None:
-        self.plan = plan if plan is not None else FailoverChaosPlan()
-        self.primary: Any = None
-        self.standby: Any = None
-        self.link: Any = None
-
-    def run(self) -> FailoverChaosResult:
-        """Execute the plan; returns the loss/duplication accounting."""
-        import random
-
-        from repro.cricket.client import CricketClient
-        from repro.cricket.replication import ReplicationLink, promote
-        from repro.cricket.server import CricketServer
-        from repro.cuda.errors import CudaError
-        from repro.gpu.catalog import A100
-        from repro.gpu.device import GpuDevice
-        from repro.net.simclock import SimClock
-        from repro.resilience.failover import LoopbackEndpoint
-        from repro.resilience.retry import RetryPolicy
-
-        plan = self.plan
-        rng = random.Random(plan.seed)
-        # two devices each: ordinal 1 is the idle spare the device-level
-        # failover promotes after a poison
-        primary = CricketServer(
-            [GpuDevice(A100), GpuDevice(A100)], clock=SimClock()
-        )
-        standby = CricketServer(
-            [GpuDevice(A100), GpuDevice(A100)], clock=SimClock()
-        )
-        self.primary, self.standby = primary, standby
-        link = ReplicationLink(primary, standby)
-        self.link = link
-
-        kill_round = rng.randrange(plan.rounds) if plan.kill_primary else None
-        dangerous = plan.kill_primary and rng.random() < 0.5
-        poison_round = rng.randrange(plan.rounds) if plan.poison_gpu else None
-        victim = rng.randrange(plan.clients)
-
-        retry = RetryPolicy(max_attempts=8)
-        clients = []
-        primary_eps = []
-        for _ in range(plan.clients):
-            eps = [
-                LoopbackEndpoint(primary, name="primary"),
-                LoopbackEndpoint(
-                    standby, name="standby", on_connect=lambda _ep: promote(link)
-                ),
-            ]
-            primary_eps.append(eps[0])
-            clients.append(CricketClient.failover(eps, retry_policy=retry))
-
-        def active_server():
-            return standby if primary.killed else primary
-
-        # expected contents of every live allocation: ptr -> (client, bytes)
-        expected: dict[int, bytes] = {}
-        sticky_errors = 0
-        killed_in: int | None = None
-        pattern = PayloadPattern()
-
-        for rnd in range(plan.rounds):
-            if rnd == kill_round:
-                killed_in = rnd
-                if dangerous:
-                    # the victim's next executed call crashes the primary
-                    # *after* execution+replication, before the reply
-                    primary_eps[victim].kill_after_next_execute()
-                else:
-                    primary.kill()
-            if rnd == poison_round:
-                server = active_server()
-                server.inject_device_fault(0, "ecc" if rng.random() < 0.5 else "context")
-                # a client touching the poisoned device sees the sticky code
-                try:
-                    clients[victim].device_synchronize()
-                except CudaError:
-                    sticky_errors += 1
-                server.failover_device(0)
-            for idx, client in enumerate(clients):
-                for _ in range(plan.allocs_per_round):
-                    payload = pattern.next_payload(plan.alloc_bytes)
-                    ptr = client.malloc(plan.alloc_bytes)
-                    client.memcpy_h2d(ptr, payload)
-                    expected[ptr] = payload
-                # a seeded free keeps the allocator moving (and proves
-                # frees replicate too)
-                dead_ptr = draw_free_candidate(rng, expected, 0.3)
-                if dead_ptr is not None:
-                    client.free(dead_ptr)
-                    del expected[dead_ptr]
-
-        # verification runs against whoever survived
-        final = active_server()
-        lost = 0
-        for ptr, payload in expected.items():
-            try:
-                got = clients[0].memcpy_d2h(ptr, len(payload))
-            except Exception:
-                got = None
-            if got != payload:
-                lost += 1
-        used = sum(d.allocator.used_bytes for d in final.devices)
-        accounted = len(expected) * _aligned(plan.alloc_bytes)
-        return FailoverChaosResult(
-            dangerous_window=dangerous,
-            kill_round=killed_in,
-            poison_round=poison_round,
-            failovers=sum(c.stats.failovers for c in clients),
-            promotions=standby.server_stats.standby_promotions,
-            reply_cache_hits_after_failover=standby.server_stats.reply_cache_hits,
-            sticky_errors_seen=sticky_errors,
-            device_failovers=final.server_stats.device_failovers,
-            lost_allocations=lost,
-            bytes_unaccounted=used - accounted,
-            counters=final.server_stats.as_dict(),
-        )
-
-
 # -- overload chaos: more offered load than the server can execute ---------
 
 
@@ -1473,361 +1272,6 @@ class SanitizerChaosHarness:
             devices_healthy=all(d.healthy for d in server.devices),
             ladder_rungs_taken=rungs,
             counters=stats.as_dict(),
-        )
-
-
-# -- partition chaos: cut the network, prove split-brain cannot happen ------
-
-#: partition shapes the harness knows how to schedule
-PARTITION_TOPOLOGIES = (
-    "primary_isolated",
-    "standby_isolated",
-    "witness_isolated",
-    "heal_divergence",
-)
-
-def _partition_groups(topology: str, client_names: tuple[str, ...]):
-    """Node groups cut from each other for ``topology``.
-
-    Unlisted nodes form an implicit fully-connected rest group, so for
-    the single-node isolations the clients keep talking to everyone
-    outside the cut.  ``heal_divergence`` is the exception -- the clients
-    ride with the primary: the primary keeps its clients but loses the
-    standby *and* the witness, the classic split-brain setup where an
-    unfenced primary would happily keep acknowledging mutations it can
-    neither replicate nor hold a lease for.
-    """
-    return {
-        "primary_isolated": (("primary",),),
-        "standby_isolated": (("standby",),),
-        "witness_isolated": (("witness",),),
-        "heal_divergence": (
-            ("primary", *client_names),
-            ("standby", "witness"),
-        ),
-    }[topology]
-
-
-@dataclass
-class PartitionChaosPlan:
-    """Seeded description of one network-partition chaos run.
-
-    The acceptance bar (mirrors the issue): across every topology --
-    primary isolated, standby isolated, witness isolated, and a
-    heal-after-divergence-attempt asymmetric cut -- the run must show
-
-    * **zero double executions**: the surviving leader's allocator holds
-      exactly the bytes of acknowledged allocations, nothing more;
-    * **zero lost acknowledged writes**: every acknowledged H2D readback
-      returns its exact bytes from the surviving leader;
-    * **at most one mutation-accepting server per epoch**: the two
-      fences' ``epochs_served`` sets are disjoint;
-    * **a provably fenced old primary**: once leadership moved, mutating
-      calls against it are rejected with ``RPC_NOT_LEADER``, none
-      executed;
-    * **client convergence**: every client ends on the final leader's
-      endpoint knowing the final epoch.
-    """
-
-    #: which connectivity cut to schedule (see PARTITION_TOPOLOGIES)
-    topology: str = "primary_isolated"
-    #: concurrent failover clients
-    clients: int = 2
-    #: allocate rounds (the cut opens at the start of partition_round)
-    rounds: int = 5
-    #: round (0-based) whose start opens the partition window
-    partition_round: int = 2
-    #: window length in virtual seconds (must exceed the lease)
-    partition_s: float = 0.8
-    #: allocations each client makes per round
-    allocs_per_round: int = 2
-    #: size of each allocation (kept aligned so accounting is exact)
-    alloc_bytes: int = 1 << 18
-    #: RNG seed driving payloads and seeded frees
-    seed: int = 0
-    #: witness lease duration in virtual seconds
-    lease_s: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.topology not in PARTITION_TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"pick one of {PARTITION_TOPOLOGIES}"
-            )
-        if self.clients < 1:
-            raise ValueError("need at least one client")
-        if not 0 <= self.partition_round < self.rounds:
-            raise ValueError("partition_round must fall inside the run")
-        if self.partition_s <= self.lease_s:
-            raise ValueError("partition_s must exceed lease_s")
-
-
-@dataclass
-class PartitionChaosResult:
-    """Outcome of a partition chaos run, ready for assertions."""
-
-    topology: str
-    #: endpoint name of the server leading after heal ("" = nobody)
-    final_leader: str
-    #: its leadership epoch
-    final_epoch: int
-    #: epochs under which each server executed mutations
-    primary_epochs_served: list[int]
-    standby_epochs_served: list[int]
-    #: epochs appearing in *both* sets -- split-brain evidence (must be [])
-    double_lease_epochs: list[int]
-    #: acknowledged H2D writes whose readback mismatched (must be 0)
-    lost_acked_writes: int
-    #: bytes on the final leader beyond acknowledged allocations -- a
-    #: double-executed malloc shows up here (must be 0)
-    bytes_unaccounted: int
-    #: post-heal mutations against the demoted primary answered with
-    #: RPC_NOT_LEADER (probe size when leadership moved, else 0)
-    stale_primary_rejections: int
-    #: post-heal mutations the demoted primary *executed* (must be 0)
-    stale_primary_executions: int
-    #: every client ended on the final leader knowing the final epoch
-    clients_converged: bool
-    #: mutating calls the harness saw refused during the partition
-    mutations_refused: int
-    #: client-side RPC_NOT_LEADER replies / redirects followed
-    not_leader_rejections: int
-    leader_redirects: int
-    #: connectivity checks the partition oracle blocked
-    links_blocked: int
-    #: final leader's ``ServerStats.as_dict()``
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        """True when every split-brain invariant held."""
-        return (
-            not self.double_lease_epochs
-            and self.lost_acked_writes == 0
-            and self.bytes_unaccounted == 0
-            and self.stale_primary_executions == 0
-            and self.clients_converged
-        )
-
-
-class PartitionChaosHarness:
-    """Run a :class:`PartitionChaosPlan` against a fenced HA pair."""
-
-    def __init__(self, plan: PartitionChaosPlan | None = None) -> None:
-        self.plan = plan if plan is not None else PartitionChaosPlan()
-        self.primary: Any = None
-        self.standby: Any = None
-        self.witness: Any = None
-        self.link: Any = None
-
-    def run(self) -> PartitionChaosResult:
-        """Execute the plan; returns the split-brain accounting."""
-        import random
-
-        from repro.cricket.client import CricketClient
-        from repro.cricket.replication import (
-            ReplicationLink,
-            mutating_proc_numbers,
-            promote_with_witness,
-        )
-        from repro.cricket.server import CricketServer
-        from repro.cricket.witness import LeadershipFence, Witness
-        from repro.net.simclock import SimClock
-        from repro.oncrpc.errors import RpcError, RpcNotLeaderError
-        from repro.resilience.failover import LoopbackEndpoint
-        from repro.resilience.faults import (
-            PartitionPlan,
-            PartitionState,
-            PartitionWindow,
-        )
-        from repro.resilience.retry import RetryPolicy
-
-        plan = self.plan
-        rng = random.Random(plan.seed)
-        # ONE clock for everything: primary, standby, witness and clients
-        # live in a single virtual-time domain, so lease expiry, backoff
-        # and partition windows interleave deterministically.
-        clock = SimClock()
-        primary = CricketServer(clock=clock)
-        standby = CricketServer(clock=clock)
-        witness = Witness(clock, lease_s=plan.lease_s)
-        self.primary, self.standby, self.witness = primary, standby, witness
-
-        state = PartitionState(PartitionPlan(), clock)
-        witness.link_filter = state.link_filter()
-        mutating = mutating_proc_numbers(primary.interface)
-        primary_fence = LeadershipFence(
-            primary, witness, name="primary",
-            mutating_procs=mutating, peer_hint="standby",
-        )
-        standby_fence = LeadershipFence(
-            standby, witness, name="standby",
-            mutating_procs=mutating, peer_hint="primary",
-        )
-        primary_fence.lead()  # epoch 1
-        link = ReplicationLink(
-            primary, standby,
-            reachability=state.reachability("primary", "standby"),
-        )
-        primary_fence.link = link
-        self.link = link
-
-        retry = RetryPolicy(max_attempts=30, deadline_s=None)
-        clients = []
-        for index in range(plan.clients):
-            cname = f"client{index}"
-            endpoints = [
-                LoopbackEndpoint(
-                    primary, name="primary", link=state, client_name=cname
-                ),
-                LoopbackEndpoint(
-                    standby, name="standby", link=state, client_name=cname,
-                    on_connect=lambda _ep: promote_with_witness(
-                        link, standby_fence
-                    ),
-                ),
-            ]
-            clients.append(
-                CricketClient.failover(endpoints, clock=clock, retry_policy=retry)
-            )
-
-        # acknowledged state: ptr -> payload for completed H2D writes,
-        # plus every ptr whose *malloc* was acknowledged (byte accounting
-        # must cover an acked malloc even when the follow-up H2D failed)
-        expected: dict[int, bytes] = {}
-        acked_allocs: set[int] = set()
-        refused = 0
-        reused_live_ptrs = 0
-        pattern = PayloadPattern()
-        window = None
-
-        def mutate(client) -> None:
-            nonlocal refused, reused_live_ptrs
-            payload = pattern.next_payload(plan.alloc_bytes)
-            try:
-                ptr = client.malloc(plan.alloc_bytes)
-            except RpcError:
-                # NOT_LEADER / BUSY / partition: refused *unexecuted* --
-                # the accounting below proves exactly that.
-                refused += 1
-                return
-            if ptr in acked_allocs:
-                # The serving server handed out an address we believe is
-                # still live: the earlier acknowledged allocation is gone
-                # on this server.  Count it lost *now* -- letting the new
-                # entry overwrite `expected` would silently mask it.
-                reused_live_ptrs += 1
-                expected.pop(ptr, None)
-            acked_allocs.add(ptr)
-            try:
-                client.memcpy_h2d(ptr, payload)
-            except RpcError:
-                refused += 1
-                return
-            expected[ptr] = payload
-
-        groups = _partition_groups(
-            plan.topology,
-            tuple(f"client{i}" for i in range(plan.clients)),
-        )
-        for rnd in range(plan.rounds):
-            if rnd == plan.partition_round:
-                now_s = clock.now_ns / 1e9
-                window = PartitionWindow(
-                    start_s=now_s,
-                    end_s=now_s + plan.partition_s,
-                    groups=groups,
-                )
-                state.plan = PartitionPlan(windows=(window,))
-                # march virtual time into the window far enough that the
-                # primary's lease expires while the cut is open -- that's
-                # the moment the fencing state machine has to act
-                clock.advance_s(min(plan.lease_s * 1.5, plan.partition_s / 2))
-            for client in clients:
-                for _ in range(plan.allocs_per_round):
-                    mutate(client)
-                # a seeded free keeps the allocator moving (and proves
-                # frees stay epoch-consistent too)
-                dead = draw_free_candidate(rng, expected, 0.25)
-                if dead is not None:
-                    try:
-                        client.free(dead)
-                    except RpcError:
-                        refused += 1
-                    else:
-                        acked_allocs.discard(dead)
-                        del expected[dead]
-
-        # guarantee the cut has healed before the convergence round
-        if window is not None and clock.now_ns < int(window.end_s * 1e9):
-            clock.advance_s(window.end_s - clock.now_ns / 1e9 + 1e-6)
-
-        # post-heal convergence: every client must complete a mutation
-        # against whoever leads now (rotating there if needed)
-        for client in clients:
-            mutate(client)
-
-        if standby_fence.is_leader:
-            final, final_fence, final_name = standby, standby_fence, "standby"
-        elif primary_fence.is_leader:
-            final, final_fence, final_name = primary, primary_fence, "primary"
-        else:
-            final, final_fence, final_name = primary, primary_fence, ""
-
-        # the demoted primary must be provably fenced: mutations against
-        # it are rejected with RPC_NOT_LEADER and never execute
-        stale_rejections = stale_executions = 0
-        if final_name == "standby":
-            probe = CricketClient.loopback(primary)
-            used_before = sum(d.allocator.used_bytes for d in primary.devices)
-            for _ in range(3):
-                try:
-                    probe.malloc(plan.alloc_bytes)
-                except RpcNotLeaderError:
-                    stale_rejections += 1
-                else:
-                    stale_executions += 1
-            used_after = sum(d.allocator.used_bytes for d in primary.devices)
-            if used_after != used_before:
-                stale_executions += 1
-
-        lost = reused_live_ptrs
-        reader = clients[0]
-        for ptr, payload in expected.items():
-            try:
-                got = reader.memcpy_d2h(ptr, len(payload))
-            except Exception:
-                got = None
-            if got != payload:
-                lost += 1
-        used = sum(d.allocator.used_bytes for d in final.devices)
-        accounted = len(acked_allocs) * _aligned(plan.alloc_bytes)
-        converged = final_name != "" and all(
-            c.leader_epoch == final_fence.epoch
-            and c.active_endpoint_name == final_name
-            for c in clients
-        )
-        return PartitionChaosResult(
-            topology=plan.topology,
-            final_leader=final_name,
-            final_epoch=final_fence.epoch,
-            primary_epochs_served=sorted(primary_fence.epochs_served),
-            standby_epochs_served=sorted(standby_fence.epochs_served),
-            double_lease_epochs=sorted(
-                primary_fence.epochs_served & standby_fence.epochs_served
-            ),
-            lost_acked_writes=lost,
-            bytes_unaccounted=used - accounted,
-            stale_primary_rejections=stale_rejections,
-            stale_primary_executions=stale_executions,
-            clients_converged=converged,
-            mutations_refused=refused,
-            not_leader_rejections=sum(
-                c.stats.not_leader_rejections for c in clients
-            ),
-            leader_redirects=sum(c.stats.leader_redirects for c in clients),
-            links_blocked=state.blocked,
-            counters=final.server_stats.as_dict(),
         )
 
 

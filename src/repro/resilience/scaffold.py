@@ -1,6 +1,6 @@
 """Shared scaffolding for the chaos harnesses and the simulation.
 
-Seven chaos harnesses grew seven private copies of the same workload
+The chaos harnesses grew private copies of the same workload
 bookkeeping: the 255-step payload pattern, the seeded "keep the
 allocator moving" free, the byte-alignment accounting and the
 lease+grace lapse loop.  This module is the one copy.

@@ -21,7 +21,10 @@ from repro.resilience.simulation.checker import (
     DOUBLE_EXECUTION,
     EPOCH_REGRESSION,
     LOST_ACKED_WRITE,
+    NOT_CONVERGED,
     POINTER_REUSE,
+    SPLIT_BRAIN,
+    STALE_LEADER,
     USE_AFTER_FREE,
     VIOLATION_KINDS,
     HistoryChecker,
@@ -116,6 +119,9 @@ __all__ = [
     "POINTER_REUSE",
     "EPOCH_REGRESSION",
     "BYTES_UNACCOUNTED",
+    "SPLIT_BRAIN",
+    "STALE_LEADER",
+    "NOT_CONVERGED",
     # harness
     "SimulationPlan",
     "SimulationResult",

@@ -31,6 +31,12 @@ Checked properties:
   the acknowledged live bytes, plus at most the bytes of ambiguous
   allocations/frees (the "maybe" set).
 
+Three more kinds come from end-of-run audits of the live cluster rather
+than from the history (see :func:`~repro.resilience.simulation.harness.run_simulation`):
+**split-brain** (two servers executed mutations under one epoch),
+**stale-leader** (a live non-leader accepted a mutating probe) and
+**not-converged** (a live leader exists but a client ended elsewhere).
+
 Crash-coupled durability: the replication link trades durability for
 availability *deliberately* -- a witness-blessed primary that cannot
 reach its standby detaches and keeps acknowledging, and a demoted
@@ -64,6 +70,9 @@ USE_AFTER_FREE = "use-after-free"
 POINTER_REUSE = "pointer-reuse"
 EPOCH_REGRESSION = "epoch-regression"
 BYTES_UNACCOUNTED = "bytes-unaccounted"
+SPLIT_BRAIN = "split-brain"
+STALE_LEADER = "stale-leader"
+NOT_CONVERGED = "not-converged"
 
 VIOLATION_KINDS = (
     DOUBLE_EXECUTION,
@@ -72,6 +81,9 @@ VIOLATION_KINDS = (
     POINTER_REUSE,
     EPOCH_REGRESSION,
     BYTES_UNACCOUNTED,
+    SPLIT_BRAIN,
+    STALE_LEADER,
+    NOT_CONVERGED,
 )
 
 

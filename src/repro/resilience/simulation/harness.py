@@ -16,7 +16,9 @@ workload streams, so
 The history recorder observes every client-edge operation and every
 server-side handler execution; :func:`run_simulation` finishes by
 healing all faults, converging the clients and handing the history to
-the :class:`~repro.resilience.simulation.checker.HistoryChecker`.
+the :class:`~repro.resilience.simulation.checker.HistoryChecker`, then
+audits the live cluster (split-brain, stale leader, convergence)
+without adding to the history.
 
 Everything Cricket-flavored is imported inside the builder/run
 functions, keeping this module importable from the resilience layer
@@ -30,7 +32,13 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.resilience.simulation.checker import HistoryChecker, Violation
+from repro.resilience.simulation.checker import (
+    NOT_CONVERGED,
+    SPLIT_BRAIN,
+    STALE_LEADER,
+    HistoryChecker,
+    Violation,
+)
 from repro.resilience.simulation.events import (
     BUG_DOUBLE_EXECUTE,
     DRAIN_RESTORE,
@@ -59,6 +67,9 @@ TOPOLOGIES = ("single", "ha_pair")
 #: derivation constants separating the nemesis and workload RNG streams
 _NEMESIS_STREAM = 0x4E656D65
 _WORKLOAD_STREAM = 0x576F726B
+
+#: mutating probes the stale-leader audit sends each live non-leader
+_STALE_PROBES = 3
 
 
 @dataclass(frozen=True)
@@ -134,9 +145,10 @@ class SimulationResult:
     fingerprint: str
     #: full recorded history (client edge + server edge + audit)
     events: list[HistoryEvent] = field(repr=False, default_factory=list)
-    #: endpoint name of the leader at the end ("" = nobody)
+    #: endpoint name of the live leader at the end ("" = nobody)
     final_leader: str = ""
-    #: every client finished on the final leader at its epoch
+    #: every client finished on the last fenced leader's endpoint at its
+    #: epoch (that leader may since have been killed; see final_leader)
     converged: bool = True
     #: tally of client-edge outcomes by type ("ok", "busy", ...)
     outcomes: dict[str, int] = field(default_factory=dict)
@@ -144,6 +156,12 @@ class SimulationResult:
     applied: list[str] = field(default_factory=list)
     #: final leader's ServerStats counters
     counters: dict[str, int] = field(default_factory=dict)
+    #: ResilienceStats counters summed over every workload client
+    client_counters: dict[str, int] = field(default_factory=dict)
+    #: per fenced server: epochs it executed mutations under (ha_pair)
+    epochs_served: dict[str, list[int]] = field(default_factory=dict)
+    #: connectivity checks the partition oracle blocked (ha_pair)
+    links_blocked: int = 0
 
     @property
     def clean(self) -> bool:
@@ -191,6 +209,63 @@ class _Cluster:
             if fence is not None and fence.is_leader:
                 return name, self.servers[name]
         return "", self.servers["primary"]
+
+    # -- end-of-run fence audits ---------------------------------------------
+
+    def fence_violations(self, leader: str, index: int) -> list[Violation]:
+        """Split-brain and stale-leader audits of the fenced servers.
+
+        Run after the history is sealed: a fence that works sheds every
+        probe before the handler (and with it the execution tap) runs,
+        so a clean run's history and fingerprint are untouched.
+        """
+        from repro.oncrpc import message as msg
+
+        if not self.fences:
+            return []
+        violations = []
+        shared = sorted(
+            self.fences["primary"].epochs_served
+            & self.fences["standby"].epochs_served
+        )
+        if shared:
+            violations.append(Violation(
+                kind=SPLIT_BRAIN,
+                detail=f"primary and standby both executed mutations "
+                       f"under epoch(s) {shared}",
+                node="witness",
+                index=index,
+            ))
+        for name, server in self.servers.items():
+            if name == leader or server.killed:
+                continue
+            interface = server.interface
+            malloc = interface.signatures["rpc_cudaMalloc"]
+            probe = msg.RpcMessage(0x57A1E, msg.CallBody(
+                interface.prog_number, interface.vers_number, malloc.number,
+                args=malloc.encode_args((self.plan.alloc_bytes,)),
+            )).encode()
+            used = _used_bytes(server)
+            refused = 0
+            for _ in range(_STALE_PROBES):
+                body = msg.RpcMessage.decode(
+                    server.dispatch_record(probe, client_id="stale-probe")
+                ).body
+                if (
+                    isinstance(body, msg.AcceptedReply)
+                    and body.stat == msg.RPC_NOT_LEADER
+                ):
+                    refused += 1
+            if refused != _STALE_PROBES or _used_bytes(server) != used:
+                violations.append(Violation(
+                    kind=STALE_LEADER,
+                    detail=f"non-leader {name} refused {refused}/"
+                           f"{_STALE_PROBES} mutating probes; allocator "
+                           f"{used} -> {_used_bytes(server)} bytes",
+                    node=name,
+                    index=index,
+                ))
+        return violations
 
     # -- nemesis appliers ---------------------------------------------------
 
@@ -408,6 +483,10 @@ class _Cluster:
             return
         source.cutover()
         self._swap_server(new_server)
+
+
+def _used_bytes(server) -> int:
+    return sum(d.allocator.used_bytes for d in server.devices)
 
 
 def _make_server(clock):
@@ -788,6 +867,8 @@ def run_simulation(
             and c.active_endpoint_name == final_name
             for c in cluster.clients
         )
+    # A killed server keeps its fence state; only a live one still leads.
+    leader = "" if final_server.killed else final_name
 
     # Final read of every pointer each client still believes live: the
     # checker's read-your-writes property needs the evidence.
@@ -802,19 +883,43 @@ def run_simulation(
                 ptr=ptr, size=size,
             )
 
-    used = sum(d.allocator.used_bytes for d in final_server.devices)
-    recorder.audit(final_name or "server", used)
+    recorder.audit(final_name or "server", _used_bytes(final_server))
 
     violations = HistoryChecker().check(recorder.events)
+    events = list(recorder.events)
+    fingerprint = recorder.fingerprint()
+    counters = final_server.server_stats.as_dict()
+    epochs_served = {
+        name: sorted(fence.epochs_served)
+        for name, fence in cluster.fences.items()
+    }
+
+    # Cluster audits run on the sealed history: probes cannot move it.
+    violations += cluster.fence_violations(leader, len(events) - 1)
+    if leader and not converged:
+        violations.append(Violation(
+            kind=NOT_CONVERGED,
+            detail=f"a client did not end on live leader {leader}",
+            node=leader,
+            index=len(events) - 1,
+        ))
+
+    client_counters: dict[str, int] = {}
+    for client in cluster.clients:
+        for key, value in client.stats.as_dict().items():
+            client_counters[key] = client_counters.get(key, 0) + value
     return SimulationResult(
         plan=plan,
         schedule=list(schedule),
         violations=violations,
-        fingerprint=recorder.fingerprint(),
-        events=list(recorder.events),
-        final_leader=final_name,
+        fingerprint=fingerprint,
+        events=events,
+        final_leader=leader,
         converged=converged,
         outcomes=outcomes,
         applied=applied,
-        counters=final_server.server_stats.as_dict(),
+        counters=counters,
+        client_counters=client_counters,
+        epochs_served=epochs_served,
+        links_blocked=cluster.state.blocked if cluster.state else 0,
     )

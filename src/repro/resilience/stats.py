@@ -8,7 +8,7 @@ tracer (:mod:`repro.core.tracing`) renders these counters in its summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -63,49 +63,16 @@ class ResilienceStats:
 
     def as_dict(self) -> dict[str, int]:
         """Flat counter mapping (fault kinds prefixed ``fault.``)."""
-        out = {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "reconnects": self.reconnects,
-            "recoveries": self.recoveries,
-            "stale_replies_discarded": self.stale_replies_discarded,
-            "deadlines_exceeded": self.deadlines_exceeded,
-            "retries_exhausted": self.retries_exhausted,
-            "failovers": self.failovers,
-            "crc_rejected": self.crc_rejected,
-            "busy_rejections": self.busy_rejections,
-            "not_leader_rejections": self.not_leader_rejections,
-            "leader_redirects": self.leader_redirects,
-            "probe_rtt_last_ns": self.probe_rtt_last_ns,
-            "slow_probes": self.slow_probes,
-            "hedged_probes": self.hedged_probes,
-            "endpoints_ejected": self.endpoints_ejected,
-            "endpoints_readmitted": self.endpoints_readmitted,
-        }
+        out = {name: getattr(self, name) for name in _CLIENT_COUNTERS}
         for kind, count in sorted(self.faults_injected.items()):
             out[f"fault.{kind}"] = count
         return out
 
-    def reset(self) -> None:
-        """Zero every counter (between experiment repetitions)."""
-        self.retries = 0
-        self.timeouts = 0
-        self.reconnects = 0
-        self.recoveries = 0
-        self.stale_replies_discarded = 0
-        self.deadlines_exceeded = 0
-        self.retries_exhausted = 0
-        self.failovers = 0
-        self.crc_rejected = 0
-        self.busy_rejections = 0
-        self.not_leader_rejections = 0
-        self.leader_redirects = 0
-        self.probe_rtt_last_ns = 0
-        self.slow_probes = 0
-        self.hedged_probes = 0
-        self.endpoints_ejected = 0
-        self.endpoints_readmitted = 0
-        self.faults_injected.clear()
+
+#: ResilienceStats counter names in declaration order (``as_dict`` keys)
+_CLIENT_COUNTERS = tuple(
+    f.name for f in fields(ResilienceStats) if f.name != "faults_injected"
+)
 
 
 @dataclass
@@ -256,142 +223,8 @@ class ServerStats:
 
     def as_dict(self) -> dict[str, int]:
         """Flat counter mapping, ``server.``-prefixed for tracer merging."""
-        return {
-            "server.reply_cache_hits": self.reply_cache_hits,
-            "server.reply_cache_evictions": self.reply_cache_evictions,
-            "server.reply_cache_bytes": self.reply_cache_bytes,
-            "server.sessions_opened": self.sessions_opened,
-            "server.sessions_expired": self.sessions_expired,
-            "server.sessions_reclaimed": self.sessions_reclaimed,
-            "server.sessions_reattached": self.sessions_reattached,
-            "server.bytes_reclaimed": self.bytes_reclaimed,
-            "server.admission_denied": self.admission_denied,
-            "server.quota_denied": self.quota_denied,
-            "server.drains_completed": self.drains_completed,
-            "server.replication_ops_shipped": self.replication_ops_shipped,
-            "server.replication_ops_applied": self.replication_ops_applied,
-            "server.replication_full_syncs": self.replication_full_syncs,
-            "server.replication_lag": self.replication_lag,
-            "server.standby_promotions": self.standby_promotions,
-            "server.device_failovers": self.device_failovers,
-            "server.crc_rejected": self.crc_rejected,
-            "server.overload_shed": self.overload_shed,
-            "server.rate_limited": self.rate_limited,
-            "server.deadline_expired_in_queue": self.deadline_expired_in_queue,
-            "server.deadline_expired_in_execution": self.deadline_expired_in_execution,
-            "server.cancelled_in_queue": self.cancelled_in_queue,
-            "server.cancelled_in_flight": self.cancelled_in_flight,
-            "server.queue_peak_depth": self.queue_peak_depth,
-            "server.slow_readers_throttled": self.slow_readers_throttled,
-            "server.slow_readers_disconnected": self.slow_readers_disconnected,
-            "server.data_backpressure_rejected": self.data_backpressure_rejected,
-            "server.paused_rejections": self.paused_rejections,
-            "server.checkpoint_generations_written": self.checkpoint_generations_written,
-            "server.checkpoint_deltas_written": self.checkpoint_deltas_written,
-            "server.checkpoint_bytes_written": self.checkpoint_bytes_written,
-            "server.checkpoint_fallbacks": self.checkpoint_fallbacks,
-            "server.migration_rounds": self.migration_rounds,
-            "server.migration_chunks_sent": self.migration_chunks_sent,
-            "server.migration_chunks_resent": self.migration_chunks_resent,
-            "server.migration_chunks_duplicate": self.migration_chunks_duplicate,
-            "server.migration_resumes": self.migration_resumes,
-            "server.migration_pause_ns": self.migration_pause_ns,
-            "server.migrations_completed": self.migrations_completed,
-            "server.migrations_aborted": self.migrations_aborted,
-            "server.sanitizer_oob_writes": self.sanitizer_oob_writes,
-            "server.sanitizer_oob_reads": self.sanitizer_oob_reads,
-            "server.sanitizer_use_after_free": self.sanitizer_use_after_free,
-            "server.sanitizer_double_frees": self.sanitizer_double_frees,
-            "server.sanitizer_redzone_hits": self.sanitizer_redzone_hits,
-            "server.sanitizer_leaks_reported": self.sanitizer_leaks_reported,
-            "server.watchdog_hangs": self.watchdog_hangs,
-            "server.ladder_cooperative_cancels": self.ladder_cooperative_cancels,
-            "server.ladder_stream_aborts": self.ladder_stream_aborts,
-            "server.ladder_context_resets": self.ladder_context_resets,
-            "server.ladder_device_failovers": self.ladder_device_failovers,
-            "server.ladder_session_reclaims": self.ladder_session_reclaims,
-            "server.fencing_leases_acquired": self.fencing_leases_acquired,
-            "server.fencing_leases_renewed": self.fencing_leases_renewed,
-            "server.fencing_leases_expired": self.fencing_leases_expired,
-            "server.fencing_self_fences": self.fencing_self_fences,
-            "server.fencing_not_leader_sheds": self.fencing_not_leader_sheds,
-            "server.fencing_stale_epoch_rejections": (
-                self.fencing_stale_epoch_rejections
-            ),
-            "server.fencing_epoch": self.fencing_epoch,
-            "server.brownout_entries": self.brownout_entries,
-            "server.brownout_exits": self.brownout_exits,
-            "server.brownout_sheds": self.brownout_sheds,
-            "server.sweeps_suspended": self.sweeps_suspended,
-            "server.replication_demotions": self.replication_demotions,
-            "server.ladder_preemptive_failovers": self.ladder_preemptive_failovers,
-        }
+        return {key: getattr(self, name) for key, name in _SERVER_COUNTERS}
 
-    def reset(self) -> None:
-        """Zero every counter (between experiment repetitions)."""
-        self.reply_cache_hits = 0
-        self.reply_cache_evictions = 0
-        self.reply_cache_bytes = 0
-        self.sessions_opened = 0
-        self.sessions_expired = 0
-        self.sessions_reclaimed = 0
-        self.sessions_reattached = 0
-        self.bytes_reclaimed = 0
-        self.admission_denied = 0
-        self.quota_denied = 0
-        self.drains_completed = 0
-        self.replication_ops_shipped = 0
-        self.replication_ops_applied = 0
-        self.replication_full_syncs = 0
-        self.replication_lag = 0
-        self.standby_promotions = 0
-        self.device_failovers = 0
-        self.crc_rejected = 0
-        self.overload_shed = 0
-        self.rate_limited = 0
-        self.deadline_expired_in_queue = 0
-        self.deadline_expired_in_execution = 0
-        self.cancelled_in_queue = 0
-        self.cancelled_in_flight = 0
-        self.queue_peak_depth = 0
-        self.slow_readers_throttled = 0
-        self.slow_readers_disconnected = 0
-        self.data_backpressure_rejected = 0
-        self.paused_rejections = 0
-        self.checkpoint_generations_written = 0
-        self.checkpoint_deltas_written = 0
-        self.checkpoint_bytes_written = 0
-        self.checkpoint_fallbacks = 0
-        self.migration_rounds = 0
-        self.migration_chunks_sent = 0
-        self.migration_chunks_resent = 0
-        self.migration_chunks_duplicate = 0
-        self.migration_resumes = 0
-        self.migration_pause_ns = 0
-        self.migrations_completed = 0
-        self.migrations_aborted = 0
-        self.sanitizer_oob_writes = 0
-        self.sanitizer_oob_reads = 0
-        self.sanitizer_use_after_free = 0
-        self.sanitizer_double_frees = 0
-        self.sanitizer_redzone_hits = 0
-        self.sanitizer_leaks_reported = 0
-        self.watchdog_hangs = 0
-        self.ladder_cooperative_cancels = 0
-        self.ladder_stream_aborts = 0
-        self.ladder_context_resets = 0
-        self.ladder_device_failovers = 0
-        self.ladder_session_reclaims = 0
-        self.fencing_leases_acquired = 0
-        self.fencing_leases_renewed = 0
-        self.fencing_leases_expired = 0
-        self.fencing_self_fences = 0
-        self.fencing_not_leader_sheds = 0
-        self.fencing_stale_epoch_rejections = 0
-        self.fencing_epoch = 0
-        self.brownout_entries = 0
-        self.brownout_exits = 0
-        self.brownout_sheds = 0
-        self.sweeps_suspended = 0
-        self.replication_demotions = 0
-        self.ladder_preemptive_failovers = 0
+
+#: (``as_dict`` key, field name) per ServerStats counter, declaration order
+_SERVER_COUNTERS = tuple((f"server.{f.name}", f.name) for f in fields(ServerStats))

@@ -5,8 +5,9 @@ server-side device failover, CRC32 record/stripe integrity with
 transparent retransmission, hot-standby replication (full sync + op-log),
 transparent client failover with at-most-once intact across the
 execute-then-crash window, reply-cache survival through drain
-checkpoints, and a property test that op-log replay reproduces exactly
-the state a full checkpoint carries.
+checkpoints, a property test that op-log replay reproduces exactly
+the state a full checkpoint carries, and simulated primary kills plus
+GPU poison on the nemesis simulator.
 """
 
 import pickle
@@ -34,12 +35,18 @@ from repro.net.simclock import SimClock
 from repro.oncrpc.errors import RpcError, RpcIntegrityError, RpcTransportError
 from repro.oncrpc.record import append_crc, verify_crc
 from repro.resilience import (
-    FailoverChaosHarness,
-    FailoverChaosPlan,
     FailoverTransport,
     FaultPlan,
     LoopbackEndpoint,
     RetryPolicy,
+    chaos_seeds,
+)
+from repro.resilience.simulation import (
+    GPU_FAULT,
+    KILL_PRIMARY,
+    NemesisEvent,
+    SimulationPlan,
+    run_simulation,
 )
 
 MB = 1 << 20
@@ -572,26 +579,66 @@ def test_oplog_replay_equals_checkpoint(ops):
     assert replayed == state_fingerprint(primary)
 
 
-# -- failover chaos soak --------------------------------------------------
+# -- failover chaos: primary kills and GPU poison in the simulator ---------
+
+
+def _failover_schedule(seed, dangerous):
+    """Kill the primary at 4 s and poison the leader's GPU.
+
+    Odd seeds poison the primary before the kill, even seeds the promoted
+    standby after it; the fault kind alternates every two seeds, so five
+    seeds cover every (order, kind) pair for both kill modes.
+    """
+    kill = NemesisEvent(4.0, KILL_PRIMARY, {"dangerous": dangerous})
+    poison = NemesisEvent(
+        2.0 if seed % 2 else 7.0, GPU_FAULT,
+        {"fault": ("context", "ecc")[seed // 2 % 2]},
+    )
+    return sorted([kill, poison], key=lambda event: event.at_s)
+
+
+def _interrupted_a_mutation(result):
+    """Whether the primary's last execution before its crash was a mutation."""
+    crash = next(e for e in result.events if e.kind == "crash")
+    last = [
+        e for e in result.events[:crash.index]
+        if e.kind == "execute" and e.node == "primary" and not e.replica
+    ][-1]
+    return last.proc in mutating_proc_numbers(CricketServer().interface)
+
+
+def _check_failover(seed):
+    for dangerous in (True, False):
+        schedule = _failover_schedule(seed, dangerous)
+        result = run_simulation(SimulationPlan(seed=seed), schedule=schedule)
+        # lost allocations and double executions are checker violations
+        assert result.clean, (dangerous, result.violations)
+        assert sorted(result.applied) == [GPU_FAULT, KILL_PRIMARY]
+        assert result.final_leader == "standby"
+        assert result.counters["server.standby_promotions"] == 1
+        assert result.client_counters["failovers"] >= 1
+        if schedule[-1].kind == GPU_FAULT:
+            # the poison hit the promoted standby, which failed over
+            assert result.counters["server.device_failovers"] == 1
+        if dangerous and _interrupted_a_mutation(result):
+            # the in-flight call was answered from the replicated cache
+            assert result.counters["server.reply_cache_hits"] >= 1
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_failover_chaos_is_clean(seed):
-    result = FailoverChaosHarness(FailoverChaosPlan(seed=seed)).run()
-    assert result.clean
-    assert result.promotions == 1
-    assert result.failovers >= 1
-    if result.dangerous_window:
-        # the in-flight call was answered from the replicated cache
-        assert result.reply_cache_hits_after_failover >= 1
+    _check_failover(seed)
 
 
 def test_failover_chaos_deterministic():
-    a = FailoverChaosHarness(FailoverChaosPlan(seed=3)).run()
-    b = FailoverChaosHarness(FailoverChaosPlan(seed=3)).run()
-    assert (a.kill_round, a.poison_round, a.dangerous_window, a.failovers) == (
-        b.kill_round,
-        b.poison_round,
-        b.dangerous_window,
-        b.failovers,
-    )
+    schedule = _failover_schedule(3, dangerous=True)
+    a = run_simulation(SimulationPlan(seed=3), schedule=schedule)
+    b = run_simulation(SimulationPlan(seed=3), schedule=schedule)
+    assert a.fingerprint == b.fingerprint
+    assert (a.applied, a.client_counters) == (b.applied, b.client_counters)
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("seed", chaos_seeds(default=tuple(range(8))))
+def test_failover_chaos_soak(seed):
+    _check_failover(seed)

@@ -4,7 +4,10 @@ The acceptance path for the whole subsystem lives here: seeded runs
 are bit-reproducible (identical history fingerprints), benign seeds
 come out clean under the full composed nemesis, an injected
 double-execution bug is caught by the checker and shrunk to a minimal
-replayable trace, and the trace replays byte-for-byte.
+replayable trace, and the trace replays byte-for-byte.  Default-plan
+fingerprints are pinned against a golden table, and the end-of-run
+cluster audits (split-brain, stale leader, convergence) are shown to
+fire on deliberately broken fences.
 """
 
 import json
@@ -12,12 +15,21 @@ import random
 
 import pytest
 
+from repro.cricket.witness import LeadershipFence, Witness
+from repro.resilience.failover import FailoverTransport
 from repro.resilience.simulation import (
     BUG_DOUBLE_EXECUTE,
     DOUBLE_EXECUTION,
+    GPU_THROTTLE,
     HA_PAIR_KINDS,
+    NOT_CONVERGED,
+    PARTITION,
     SINGLE_KINDS,
+    SPLIT_BRAIN,
+    STALE_LEADER,
+    STORAGE_TORN,
     TOPOLOGIES,
+    VIOLATION_KINDS,
     NemesisEvent,
     SimulationPlan,
     events_from_jsonable,
@@ -141,6 +153,115 @@ class TestCleanSeeds:
             "cuda_error", "ambiguous",
         }
         assert not unknown, unknown
+
+
+# Default-plan fingerprints, seeds 0-9.  A refactor must leave them
+# byte-identical: a change that moves one changed what the simulation
+# does, not just how the code is laid out.
+GOLDEN_FINGERPRINTS = {
+    "single": (
+        "e6c380e903fd6a95c16a19f8a9374459dcd373245870d3029bc94cb6f5f7a0be",
+        "79a3e1b79eff7940270a81f9e8a34d05d44d3a847458ab8213c76b47604b93d5",
+        "0121426ddd39c02fd9b54ae120406e1f70702c75c64bcc9d420f242c326db4a7",
+        "186ffd1ca948a461e64b2e01129f8d9b88c106abcb1177a3128a9937e6bf7837",
+        "799a8694d6daaa21c972449004801ea750c505e4e9194fe69269bfdfdba3f4ce",
+        "d7ea256c5b63a7a80b2ab46f7799436a0df9e21cb727a78187893d6b77e67361",
+        "d10dd386b0bc5b860ad240018d96051c46ceaa6c42e16fc5f14e58f1fad4b26b",
+        "5d33cd1cf8a329e0f24dae51772d3a7850239868b1b436a820048de4279b52b7",
+        "a023286d2be5bfbba1a1ec24a18dbf0f64586cd0f7a41b1b4dd9b26bc5253609",
+        "8bc8f50ea8d81a727f73ea667386d2ea70e4d4e9c8720d53e78d6201b22278e1",
+    ),
+    "ha_pair": (
+        "bc326dcc8bfb03ecbf4ead82b2089dd8f65e8682b73cfd312fd8d6d9562e706a",
+        "ffdf899b676a20253c125ae925c44e9419cdc18bec6c9a306cfe8ff4cfe04f5c",
+        "529219051d58225f5486c44054f9367e1d26b4f68e22061ae534613f4920b4d3",
+        "fc40839b6f3a979feef647f8827d551ac5573fcc1029844d4c910b38a1200a7a",
+        "e6979a89d2994d9983c366a1c26a2cf3be7ff39d3cdf98f0d03db382116652f6",
+        "a7eadfc75c0c3a489dbfd8f129b950a72062f60e19a5122b524c34624b8bb0be",
+        "8e66543dbe7f2abe5580f622a5956672ed4b2eaa2a4d764d416a2063fd056c13",
+        "eee74c06ad30c676b4903cacea4fb95772c2e3b000a84f416ba952e76208fc66",
+        "ac93f830d83046623dada5c1027ca13ea0851ebbff9a8a7bf880bffaeaa7eeb1",
+        "d318c01e45d2a48c352c7af5a36f5cb4652eedfb7c7bc39129bf85e3fdc7424f",
+    ),
+}
+
+
+class TestGoldenFingerprints:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_plan_fingerprint_unchanged(self, topology, seed):
+        result = run_simulation(SimulationPlan(topology=topology, seed=seed))
+        assert result.fingerprint == GOLDEN_FINGERPRINTS[topology][seed]
+
+
+class TestFinalLeader:
+    def test_killed_standby_is_not_the_final_leader(self):
+        # The nemesis kills the promoted standby late in this run, so
+        # nobody is left to lead: no live leader, nothing to converge on.
+        result = run_simulation(SimulationPlan(topology="ha_pair", seed=12))
+        crashed = [e.node for e in result.events if e.kind == "crash"]
+        assert crashed == ["standby"]
+        assert result.final_leader == ""
+        assert not result.converged
+        assert result.clean, result.violations
+
+
+# -- the cluster audits fire on broken fences ---------------------------------
+
+
+_HEAL_DIVERGENCE = NemesisEvent(
+    4.0, PARTITION, {"shape": "heal_divergence", "duration_s": 0.8}
+)
+
+
+class TestClusterAudits:
+    def test_audit_kinds_are_violation_kinds(self):
+        assert {SPLIT_BRAIN, STALE_LEADER, NOT_CONVERGED} <= set(VIOLATION_KINDS)
+
+    def test_fence_that_always_admits_is_a_stale_leader(self, monkeypatch):
+        monkeypatch.setattr(
+            LeadershipFence, "shed_stat", lambda self, proc, now_ns: None
+        )
+        plan = SimulationPlan(seed=0)
+        result = run_simulation(plan, schedule=[_HEAL_DIVERGENCE])
+        assert STALE_LEADER in result.violation_kinds()
+        minimal, _ = shrink_schedule(
+            plan, [_HEAL_DIVERGENCE], kinds=[STALE_LEADER]
+        )
+        assert minimal == [_HEAL_DIVERGENCE]
+
+    def test_witness_that_forgets_epochs_is_split_brain(self, monkeypatch):
+        acquire = Witness.acquire
+
+        def amnesiac_acquire(self, holder):
+            self.epoch = 0  # every grant reissues epoch 1
+            return acquire(self, holder)
+
+        monkeypatch.setattr(Witness, "acquire", amnesiac_acquire)
+        plan = SimulationPlan(seed=0)
+        schedule = [
+            NemesisEvent(2.0, STORAGE_TORN, {"count": 1}),
+            _HEAL_DIVERGENCE,
+            NemesisEvent(8.0, GPU_THROTTLE, {"severity": 3.0}),
+        ]
+        result = run_simulation(plan, schedule=schedule)
+        assert SPLIT_BRAIN in result.violation_kinds()
+        assert result.epochs_served == {"primary": [1], "standby": [1]}
+        # the re-grant only matters once the partition forces an election
+        minimal, _ = shrink_schedule(plan, schedule, kinds=[SPLIT_BRAIN])
+        assert minimal == [_HEAL_DIVERGENCE]
+
+    def test_client_blind_to_epochs_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(
+            FailoverTransport, "observe_leader", lambda self, info: None
+        )
+        result = run_simulation(
+            SimulationPlan(seed=0), schedule=[_HEAL_DIVERGENCE]
+        )
+        assert result.final_leader == "standby"
+        assert not result.converged
+        assert not result.clean
+        assert NOT_CONVERGED in result.violation_kinds()
 
 
 # -- the acceptance path: catch, shrink, replay -------------------------------

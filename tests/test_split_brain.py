@@ -4,7 +4,7 @@ Exercises the whole fencing stack: the witness's lease/epoch arbitration,
 the server-side leadership fence (shed, renew, self-fence, demote), epoch
 stamping on op-log ships and checkpoints, the failover client's epoch
 awareness (redirects, stale-endpoint marks), the partition fault model,
-and the end-to-end chaos harness across every topology the issue names --
+and one simulated partition per cut shape on the nemesis simulator --
 asserting zero double executions, zero lost acknowledged writes, at most
 one mutation-accepting server per epoch, and a provably fenced ex-primary.
 """
@@ -33,14 +33,19 @@ from repro.oncrpc.auth import leader_epoch_auth, leader_epoch_from
 from repro.oncrpc.errors import RpcNotLeaderError, RpcTransportError
 from repro.resilience import (
     LoopbackEndpoint,
-    PartitionChaosHarness,
-    PartitionChaosPlan,
     PartitionPlan,
     PartitionState,
     PartitionWindow,
     RetryPolicy,
+    chaos_seeds,
 )
-from repro.resilience.chaos import PARTITION_TOPOLOGIES
+from repro.resilience.simulation import (
+    PARTITION,
+    PARTITION_SHAPES,
+    NemesisEvent,
+    SimulationPlan,
+    run_simulation,
+)
 
 MB = 1 << 20
 
@@ -590,71 +595,70 @@ class TestClientEpochAwareness:
         assert "server.fencing_not_leader_sheds" in tracer.summary()
 
 
-# -- the partition chaos harness ------------------------------------------
+# -- partition chaos: one cut per shape in the simulator -------------------
 
 
-class TestPartitionChaosHarness:
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            PartitionChaosPlan(topology="nonsense")
-        with pytest.raises(ValueError):
-            PartitionChaosPlan(partition_round=9, rounds=3)
-        with pytest.raises(ValueError):
-            PartitionChaosPlan(partition_s=0.1, lease_s=0.2)
+def _partition(shape, seed):
+    """One 0.8 s cut (four leases) at 4 s on the fenced pair."""
+    cut = NemesisEvent(4.0, PARTITION, {"shape": shape, "duration_s": 0.8})
+    return run_simulation(SimulationPlan(seed=seed), schedule=[cut])
 
-    @pytest.mark.parametrize("topology", PARTITION_TOPOLOGIES)
+
+def _check_no_split_brain(result):
+    # split-brain, a non-leader accepting mutations, lost acked writes,
+    # double executions and unconverged clients are all violations
+    assert result.clean, result.violations
+    assert result.converged
+    served = result.epochs_served
+    assert not set(served["primary"]) & set(served["standby"])
+
+
+class TestPartitionNemesis:
+    @pytest.mark.parametrize("shape", PARTITION_SHAPES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_no_split_brain_across_topologies_and_seeds(self, topology, seed):
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology=topology, seed=seed)
-        ).run()
-        assert result.clean, result
-        assert result.double_lease_epochs == []
-        assert result.lost_acked_writes == 0
-        assert result.bytes_unaccounted == 0
-        assert result.stale_primary_executions == 0
-        assert result.clients_converged
+    def test_no_split_brain_across_topologies_and_seeds(self, shape, seed):
+        _check_no_split_brain(_partition(shape, seed))
 
     def test_primary_isolation_elects_standby(self):
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology="primary_isolated", seed=3)
-        ).run()
-        assert result.final_leader == "standby" and result.final_epoch == 2
-        assert result.primary_epochs_served == [1]
-        assert result.standby_epochs_served == [2]
-        # the old primary provably self-fenced: post-heal mutations all
-        # rejected with NOT_LEADER, none executed
-        assert result.stale_primary_rejections == 3
-        assert result.stale_primary_executions == 0
+        result = _partition("primary_isolated", 3)
+        assert result.final_leader == "standby"
+        assert result.counters["server.fencing_epoch"] == 2
+        assert result.epochs_served == {"primary": [1], "standby": [2]}
+        # the old primary is live and provably fenced: the stale-leader
+        # audit's mutating probes were all refused, none executed
+        assert result.clean, result.violations
 
     def test_standby_isolation_keeps_primary_solo(self):
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology="standby_isolated", seed=3)
-        ).run()
+        result = _partition("standby_isolated", 3)
         # witness-blessed solo: the primary detaches the dead standby and
         # keeps serving under its original epoch -- no spurious election
-        assert result.final_leader == "primary" and result.final_epoch == 1
-        assert result.standby_epochs_served == []
+        assert result.final_leader == "primary"
+        assert result.counters["server.fencing_epoch"] == 1
+        assert result.epochs_served["standby"] == []
 
     def test_witness_isolation_fences_primary_at_lease_expiry(self):
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology="witness_isolated", seed=3)
-        ).run()
+        result = _partition("witness_isolated", 3)
         # the primary cannot renew, self-fences, and the standby wins the
         # next epoch after heal; clients followed the redirects
-        assert result.final_leader == "standby" and result.final_epoch == 2
-        assert result.not_leader_rejections > 0
+        assert result.final_leader == "standby"
+        assert result.counters["server.fencing_epoch"] == 2
+        assert result.client_counters["not_leader_rejections"] > 0
         assert result.counters["server.fencing_self_fences"] == 0  # standby's
-        assert result.stale_primary_executions == 0
+        assert result.clean, result.violations
 
     def test_heal_divergence_sheds_instead_of_diverging(self):
-        result = PartitionChaosHarness(
-            PartitionChaosPlan(topology="heal_divergence", seed=3)
-        ).run()
+        result = _partition("heal_divergence", 3)
         # the cut-off primary kept its clients but could neither
         # replicate nor renew: every mutation in the window was refused
         # unexecuted, so heal finds nothing to reconcile
         assert result.final_leader == "standby"
-        assert result.double_lease_epochs == []
-        assert result.not_leader_rejections > 0
+        assert result.epochs_served == {"primary": [1], "standby": [2]}
+        assert result.client_counters["not_leader_rejections"] > 0
         assert result.links_blocked > 0
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("shape", PARTITION_SHAPES)
+@pytest.mark.parametrize("seed", chaos_seeds(default=tuple(range(5))))
+def test_partition_chaos_soak(shape, seed):
+    _check_no_split_brain(_partition(shape, seed))

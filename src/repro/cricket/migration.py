@@ -206,9 +206,10 @@ class MigrationTarget:
 
     The journal is the receiver's crash story: every chunk is appended
     (CRC-framed, length-prefixed) *before* it is acknowledged.  A killed
-    target process is modeled by building a fresh ``MigrationTarget`` over
-    the same storage and calling :meth:`recover` -- the journal replays,
-    a torn tail (the append the crash interrupted) is dropped, and
+    target process is modeled by calling :meth:`recover` (on a fresh
+    ``MigrationTarget`` over the same storage, or on this one: recovery
+    discards the in-memory staging first) -- the journal replays, a torn
+    tail (the append the crash interrupted) is dropped, and
     ``last_acked`` lands exactly on the last chunk the sender may believe
     delivered.
     """
@@ -591,36 +592,32 @@ class MigrationSource:
 
     def start(self, channel) -> None:
         """BEGIN the migration and ship round 0 (all live memory)."""
-        if self.phase == "precopy":
-            # Re-entry after a mid-round-0 fault.  BEGIN and every chunk
-            # generated so far sit in the outbox (resume() resends them);
-            # only pages dirtied since the interruption remain to ship.
-            self._send_fragments(
-                channel,
-                self.server.device.delta_fragments(),
-                account_precopy=True,
-            )
-            return
-        if self.phase != "idle":
-            raise MigrationError(f"cannot start from phase {self.phase!r}")
-        self.phase = "precopy"
-        self.round = 0
         device = self.server.device
-        begin = {
-            "migration_id": self.migration_id,
-            "spec_name": device.spec.name,
-            "capacity": device.allocator.capacity,
-        }
-        self._send(
-            channel, KIND_BEGIN, pickle.dumps(begin, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        # Round 0 is the full copy: everything live is "dirty".
-        device.allocator.mark_all_dirty()
+        if self.phase == "idle":
+            self.phase = "precopy"
+            self.round = 0
+            self.report.rounds += 1
+            self.stats.migration_rounds += 1
+            # Round 0 is the full copy: everything live is "dirty".  Mark
+            # it before BEGIN goes out, so a fault on BEGIN itself leaves
+            # the whole device for the re-entry below to ship.
+            device.allocator.mark_all_dirty()
+            begin = {
+                "migration_id": self.migration_id,
+                "spec_name": device.spec.name,
+                "capacity": device.allocator.capacity,
+            }
+            self._send(
+                channel, KIND_BEGIN, pickle.dumps(begin, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        elif self.phase != "precopy":
+            raise MigrationError(f"cannot start from phase {self.phase!r}")
+        # On re-entry after a round-0 fault, BEGIN and every chunk queued
+        # so far sit in the outbox (resume() resends them); only pages
+        # still dirty remain to ship.
         self._send_fragments(
             channel, device.delta_fragments(), account_precopy=True
         )
-        self.report.rounds += 1
-        self.stats.migration_rounds += 1
 
     def run_precopy(self, channel) -> None:
         """Iterate dirty-page rounds until the residual set is small."""

@@ -37,9 +37,6 @@ from repro.resilience.chaos import (
     GrayFailureChaosHarness,
     GrayFailureChaosPlan,
     GrayFailureChaosResult,
-    MigrationChaosHarness,
-    MigrationChaosPlan,
-    MigrationChaosResult,
     OverloadChaosHarness,
     OverloadChaosPlan,
     OverloadChaosResult,
@@ -91,7 +88,6 @@ from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, is_retryab
 from repro.resilience.scaffold import (
     PayloadPattern,
     advance_past_grace,
-    aligned,
     detection_window,
     draw_free_candidate,
     spread,
@@ -169,9 +165,6 @@ __all__ = [
     "GrayFailureChaosPlan",
     "GrayFailureChaosHarness",
     "GrayFailureChaosResult",
-    "MigrationChaosPlan",
-    "MigrationChaosHarness",
-    "MigrationChaosResult",
     "SANITIZER_BUG_KINDS",
     "SanitizerChaosPlan",
     "SanitizerChaosHarness",
@@ -179,7 +172,6 @@ __all__ = [
     "FaultyEndpoint",
     # shared harness scaffolding
     "PayloadPattern",
-    "aligned",
     "spread",
     "draw_free_candidate",
     "advance_past_grace",

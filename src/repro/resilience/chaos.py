@@ -29,7 +29,6 @@ from typing import Any
 from repro.resilience.scaffold import (
     PayloadPattern,
     advance_past_grace,
-    aligned as _aligned,
     detection_window,
     draw_free_candidate,
     spread as _spread,
@@ -599,428 +598,6 @@ class OverloadChaosHarness:
                     pass
             channel.close()
             device.free(dptr)
-
-
-# -- migration chaos: faults on the wire, faults on the disk ---------------
-
-
-@dataclass
-class MigrationChaosPlan:
-    """Seeded description of one checkpoint/migration chaos run.
-
-    The acceptance bar (mirrors the issue): across a seeded schedule of
-    channel disconnects, a target-process kill mid-transfer, a torn
-    journal append and a torn newest checkpoint generation,
-
-    * **zero lost allocations**: every live allocation reads back its
-      exact expected bytes on the migrated-to server,
-    * **zero double executions**: a non-idempotent call retransmitted
-      after cutover is answered from the migrated reply cache, and the
-      target's allocator holds exactly the expected bytes,
-    * **no full restart**: every fault resumes from the cursor -- the
-      BEGIN chunk crosses the wire exactly once and the receiver never
-      has to absorb a redelivery of anything it already acknowledged,
-    * **bounded pause**: the stop-and-copy pause respects its budget,
-    * the torn newest generation falls back to the previous verifiable
-      one and reproduces its exact fingerprint.
-    """
-
-    #: workload rounds on the source before migrating
-    rounds: int = 3
-    #: allocations per round
-    allocs_per_round: int = 3
-    #: size of each allocation (kept aligned so accounting is exact)
-    alloc_bytes: int = 256 << 10
-    #: RNG seed driving the workload, frees and fault ordinals
-    seed: int = 0
-    #: channel disconnects to inject (resumed from the cursor)
-    disconnects: int = 2
-    #: also corrupt one chunk in flight (NAK -> retransmit)
-    corrupt_chunk: bool = True
-    #: kill the target process mid-transfer and recover from its journal
-    kill_target: bool = True
-    #: tear one receiver-journal append (storage fault mid-migration)
-    storage_faults: bool = True
-    #: tear the newest checkpoint generation and require fallback
-    torn_checkpoint: bool = True
-    #: stop-and-copy pause budget (virtual ns)
-    pause_budget_ns: int = 200_000_000
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1 or self.allocs_per_round < 1:
-            raise ValueError("need at least one round and one allocation")
-        if self.disconnects < 0:
-            raise ValueError("disconnects must be >= 0")
-        if self.kill_target and self.disconnects < 1:
-            raise ValueError("kill_target rides on the first disconnect")
-
-
-@dataclass
-class MigrationChaosResult:
-    """Outcome of a migration chaos run, ready for assertions."""
-
-    #: wire/storage faults injected (disconnects + torn journal append)
-    faults_injected: int
-    #: cursor resumes performed (each fault resumed, never restarted)
-    resumes: int
-    #: target processes rebuilt from the receiver journal
-    target_recoveries: int
-    #: chunks delivered first-try
-    chunks_sent: int
-    #: chunks redelivered after a fault or NAK
-    chunks_resent: int
-    #: redeliveries the receiver absorbed as duplicates
-    chunks_duplicate: int
-    #: wire deliveries of the BEGIN chunk (1 == never restarted)
-    begin_deliveries: int
-    #: stop-and-copy pause charged to virtual time
-    pause_ns: int
-    #: the budget it must respect
-    pause_budget_ns: int
-    #: the migration ran to cutover
-    completed: bool
-    #: source and migrated target fingerprints matched
-    fingerprint_match: bool
-    #: restores that fell back past a torn generation
-    checkpoint_fallbacks: int
-    #: the fallback landed on the previous generation's exact state
-    torn_fallback_ok: bool
-    #: a post-cutover retransmit hit the migrated reply cache
-    #: (no re-execution, no new bytes)
-    replay_cache_ok: bool
-    #: verification client endpoint rotations onto the target
-    failovers: int
-    #: allocations whose read-back bytes mismatched (must be 0)
-    lost_allocations: int
-    #: bytes on the target beyond what live allocations account for
-    #: -- a double-executed malloc shows up here (must be 0)
-    bytes_unaccounted: int
-    #: final target's ``ServerStats.as_dict()``
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        """True when every migration invariant held."""
-        return (
-            self.lost_allocations == 0
-            and self.bytes_unaccounted == 0
-            and self.completed
-            and self.fingerprint_match
-            and self.pause_ns <= self.pause_budget_ns
-            and self.replay_cache_ok
-            and self.torn_fallback_ok
-            and self.begin_deliveries == 1
-            and self.chunks_duplicate == 0
-            and (self.faults_injected == 0 or self.resumes > 0)
-        )
-
-
-class MigrationChaosHarness:
-    """Run a :class:`MigrationChaosPlan` against a live migration."""
-
-    def __init__(self, plan: MigrationChaosPlan | None = None) -> None:
-        self.plan = plan if plan is not None else MigrationChaosPlan()
-        self.source: Any = None
-        self.target: Any = None
-
-    def run(self) -> MigrationChaosResult:
-        """Execute the plan; returns the loss/duplication accounting."""
-        import random
-        import tempfile
-
-        from repro.cricket.ckptstore import CheckpointStore, FileStorage
-        from repro.cricket.client import CricketClient
-        from repro.cricket.errors import MigrationChannelError
-        from repro.cricket.migration import (
-            FaultyMigrationChannel,
-            LoopbackMigrationChannel,
-            MigrationConfig,
-            MigrationSource,
-            MigrationTarget,
-            decode_chunk,
-        )
-        from repro.cricket.replication import state_fingerprint
-        from repro.cricket.server import CricketServer
-        from repro.gpu.catalog import A100
-        from repro.gpu.device import GpuDevice
-        from repro.resilience.failover import LoopbackEndpoint
-        from repro.resilience.faults import (
-            FaultyStorage,
-            StorageCrashError,
-            StorageFaultPlan,
-        )
-        from repro.resilience.retry import RetryPolicy
-
-        plan = self.plan
-        rng = random.Random(plan.seed)
-
-        def fresh_server() -> Any:
-            return CricketServer([GpuDevice(A100, mem_bytes=128 << 20)])
-
-        source = fresh_server()
-        self.source = source
-        client = CricketClient.loopback(source)
-
-        # -- seeded workload: expected contents of every live allocation --
-        expected: dict[int, bytes] = {}
-        pattern = PayloadPattern()
-        for _ in range(plan.rounds):
-            for _ in range(plan.allocs_per_round):
-                payload = pattern.next_payload(plan.alloc_bytes)
-                ptr = client.malloc(plan.alloc_bytes)
-                client.memcpy_h2d(ptr, payload)
-                expected[ptr] = payload
-            # a seeded free keeps the allocator moving (freed memory must
-            # not resurrect on the target)
-            dead_ptr = draw_free_candidate(rng, expected, 0.4, min_live=2)
-            if dead_ptr is not None:
-                client.free(dead_ptr)
-                del expected[dead_ptr]
-
-        # -- at-most-once probe: a malloc whose retransmit after cutover
-        # must hit the migrated reply cache, not re-execute ---------------
-        probe_bytes = 1 << 12
-        probe_record, probe_reply = self._dispatch_probe_malloc(
-            source, probe_bytes
-        )
-
-        with tempfile.TemporaryDirectory() as tmpdir:
-            # -- torn newest checkpoint generation -> fallback ------------
-            checkpoint_fallbacks = 0
-            torn_fallback_ok = True
-            if plan.torn_checkpoint:
-                ckpt_faulty = FaultyStorage(
-                    FileStorage(f"{tmpdir}/ckpt"), StorageFaultPlan(seed=plan.seed)
-                )
-                store = CheckpointStore(storage=ckpt_faulty)
-                good_gen = store.save_full(source)
-                fp_at_save = state_fingerprint(source)
-                # mutate past the good generation, then tear the next save
-                payload = pattern.next_payload(plan.alloc_bytes)
-                ptr = client.malloc(plan.alloc_bytes)
-                client.memcpy_h2d(ptr, payload)
-                expected[ptr] = payload
-                ckpt_faulty._torn_left = 1
-                torn_seen = False
-                try:
-                    store.save_full(source)
-                except StorageCrashError:
-                    torn_seen = True
-                scratch = fresh_server()
-                recovery = CheckpointStore(
-                    f"{tmpdir}/ckpt", stats=scratch.server_stats
-                )
-                fallback_gen = recovery.restore_latest(scratch)
-                checkpoint_fallbacks = (
-                    scratch.server_stats.checkpoint_fallbacks
-                )
-                torn_fallback_ok = (
-                    torn_seen
-                    and fallback_gen == good_gen
-                    and state_fingerprint(scratch) == fp_at_save
-                )
-
-            fp_source = state_fingerprint(source)
-
-            # -- live migration under a seeded fault schedule -------------
-            mig_storage = FileStorage(f"{tmpdir}/mig")
-            tgt_storage: Any = mig_storage
-            if plan.storage_faults:
-                tgt_storage = FaultyStorage(
-                    mig_storage, StorageFaultPlan(seed=plan.seed ^ 0x51)
-                )
-            mig_source = MigrationSource(
-                source,
-                config=MigrationConfig(pause_budget_ns=plan.pause_budget_ns),
-                storage=mig_storage,
-            )
-            target = MigrationTarget(fresh_server(), storage=tgt_storage)
-            self.target = target
-
-            # per-seq wire-delivery counts, shared across channel rebuilds:
-            # a full restart would deliver the BEGIN chunk (seq 1) twice
-            deliveries: dict[int, int] = {}
-
-            class _CountingChannel:
-                def __init__(self, inner: Any) -> None:
-                    self.inner = inner
-
-                def send(self, blob: bytes) -> int:
-                    try:
-                        seq = decode_chunk(blob).seq
-                    except Exception:
-                        seq = None  # corrupted in flight; receiver NAKs
-                    ack = self.inner.send(blob)
-                    if seq is not None:
-                        deliveries[seq] = deliveries.get(seq, 0) + 1
-                    return ack
-
-            disconnect_at = rng.randrange(2, 7) if plan.disconnects else None
-            corrupt_at = rng.randrange(2, 5) if plan.corrupt_chunk else None
-            channel = FaultyMigrationChannel(
-                _CountingChannel(LoopbackMigrationChannel(target)),
-                disconnect_before=(
-                    {disconnect_at} if disconnect_at is not None else set()
-                ),
-                corrupt_sends={corrupt_at} if corrupt_at is not None else set(),
-            )
-
-            faults_injected = 0
-            target_recoveries = 0
-            disconnects_left = plan.disconnects - (1 if disconnect_at else 0)
-            journal_fault_armed = plan.storage_faults
-            kill_pending = plan.kill_target
-            pending_resume_acked: int | None = None
-            pending_resume = False
-            safety = 0
-            while mig_source.phase not in ("cutover-ready", "done", "aborted"):
-                safety += 1
-                if safety > 64:
-                    raise RuntimeError("migration chaos failed to converge")
-                try:
-                    if pending_resume:
-                        mig_source.resume(
-                            channel, receiver_acked=pending_resume_acked
-                        )
-                        pending_resume = False
-                    if mig_source.phase == "idle":
-                        mig_source.start(channel)
-                    elif mig_source.phase == "precopy":
-                        mig_source.start(channel)  # re-entry ships residual
-                        mig_source.run_precopy(channel)
-                        mig_source.stop_and_copy(channel)
-                    elif mig_source.phase == "paused":
-                        mig_source.stop_and_copy(channel)
-                except MigrationChannelError:
-                    faults_injected += 1
-                    pending_resume = True
-                    if kill_pending:
-                        # the target process dies with the fault: rebuild
-                        # it over the same storage and recover the journal
-                        kill_pending = False
-                        target_recoveries += 1
-                        target = MigrationTarget(
-                            fresh_server(), storage=tgt_storage
-                        )
-                        self.target = target
-                        pending_resume_acked = target.recover()
-                        extra = (
-                            {rng.randrange(2, 5)} if disconnects_left > 0 else set()
-                        )
-                        disconnects_left -= len(extra)
-                        channel = FaultyMigrationChannel(
-                            _CountingChannel(LoopbackMigrationChannel(target)),
-                            disconnect_before=extra,
-                        )
-                    else:
-                        pending_resume_acked = target.last_acked
-                    if journal_fault_armed and isinstance(
-                        tgt_storage, FaultyStorage
-                    ):
-                        # arm one torn journal append for the resume path
-                        journal_fault_armed = False
-                        tgt_storage._torn_left = 1
-
-            completed = False
-            fingerprint_match = False
-            replay_cache_ok = False
-            failovers = 0
-            lost = 0
-            tgt_server = target.server
-            if mig_source.phase == "cutover-ready":
-                tgt_server = target.finalize()
-                fingerprint_match = state_fingerprint(tgt_server) == fp_source
-                mig_source.cutover()
-                completed = mig_source.report.completed
-                replay_cache_ok = self._replay_probe(
-                    tgt_server, probe_record, probe_reply
-                )
-                # cutover killed the source: a failover client walks its
-                # endpoint list onto the target and reads everything back
-                verifier = CricketClient.failover(
-                    [
-                        LoopbackEndpoint(source, name="source"),
-                        LoopbackEndpoint(tgt_server, name="target"),
-                    ],
-                    retry_policy=RetryPolicy(max_attempts=8),
-                )
-                for ptr, payload in expected.items():
-                    try:
-                        got = verifier.memcpy_d2h(ptr, len(payload))
-                    except Exception:
-                        got = None
-                    if got != payload:
-                        lost += 1
-                failovers = verifier.stats.failovers
-            else:
-                lost = len(expected)
-
-            used = sum(d.allocator.used_bytes for d in tgt_server.devices)
-            accounted = len(expected) * _aligned(plan.alloc_bytes) + _aligned(
-                probe_bytes
-            )
-            report = mig_source.report
-            return MigrationChaosResult(
-                faults_injected=faults_injected,
-                resumes=report.resumes,
-                target_recoveries=target_recoveries,
-                chunks_sent=report.chunks_sent,
-                chunks_resent=report.chunks_resent,
-                chunks_duplicate=(
-                    tgt_server.server_stats.migration_chunks_duplicate
-                ),
-                begin_deliveries=deliveries.get(1, 0),
-                pause_ns=report.pause_ns,
-                pause_budget_ns=plan.pause_budget_ns,
-                completed=completed,
-                fingerprint_match=fingerprint_match,
-                checkpoint_fallbacks=checkpoint_fallbacks,
-                torn_fallback_ok=torn_fallback_ok,
-                replay_cache_ok=replay_cache_ok,
-                failovers=failovers,
-                lost_allocations=lost,
-                bytes_unaccounted=used - accounted,
-                counters=tgt_server.server_stats.as_dict(),
-            )
-
-    @staticmethod
-    def _dispatch_probe_malloc(server: Any, size: int) -> tuple[bytes, bytes]:
-        """Execute a malloc under a fixed identity/xid; keep the record."""
-        from repro.oncrpc import message as msg
-        from repro.oncrpc.auth import client_token_auth
-
-        call = msg.CallBody(
-            prog=server.interface.prog_number,
-            vers=server.interface.vers_number,
-            proc=server.interface.signatures["rpc_cudaMalloc"].number,
-            cred=client_token_auth(b"migration-replay-probe"),
-            args=size.to_bytes(8, "big"),
-        )
-        record = msg.RpcMessage(1 << 21, call).encode()
-        reply = server.dispatch_record(record)
-        assert reply is not None
-        return record, reply
-
-    @staticmethod
-    def _replay_probe(server: Any, record: bytes, original_reply: bytes) -> bool:
-        """Retransmit the probe; the migrated cache must answer it."""
-        hits_before = server.server_stats.reply_cache_hits
-        used_before = sum(d.allocator.used_bytes for d in server.devices)
-        # direct no-execution evidence: the handler tap must stay silent
-        executions: list[int] = []
-        tap = lambda _i, _x, _p, _s, _r: executions.append(_x)  # noqa: E731
-        server.execution_taps.append(tap)
-        try:
-            reply = server.dispatch_record(record)
-        finally:
-            server.execution_taps.remove(tap)
-        used_after = sum(d.allocator.used_bytes for d in server.devices)
-        return (
-            reply == original_reply
-            and server.server_stats.reply_cache_hits == hits_before + 1
-            and used_after == used_before
-            and not executions
-        )
 
 
 # -- sanitizer chaos: one buggy tenant beside healthy neighbours ----------

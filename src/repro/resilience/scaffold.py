@@ -2,8 +2,8 @@
 
 The chaos harnesses grew private copies of the same workload
 bookkeeping: the 255-step payload pattern, the seeded "keep the
-allocator moving" free, the byte-alignment accounting and the
-lease+grace lapse loop.  This module is the one copy.
+allocator moving" free and the lease+grace lapse loop.  This module is
+the one copy.
 
 RNG discipline: every helper that consumes randomness documents its
 exact draw order, and callers must not reorder draws around it -- the
@@ -16,11 +16,6 @@ from __future__ import annotations
 
 import random
 from typing import Callable
-
-
-def aligned(size: int, alignment: int = 256) -> int:
-    """Bytes actually charged by the allocator for ``size``."""
-    return (size + alignment - 1) // alignment * alignment
 
 
 def spread(total: int, buckets: int, rng: random.Random) -> list[int]:

@@ -21,6 +21,7 @@ from repro.resilience.simulation.checker import (
     DOUBLE_EXECUTION,
     EPOCH_REGRESSION,
     LOST_ACKED_WRITE,
+    MIGRATION_DIVERGENCE,
     NOT_CONVERGED,
     POINTER_REUSE,
     SPLIT_BRAIN,
@@ -122,6 +123,7 @@ __all__ = [
     "SPLIT_BRAIN",
     "STALE_LEADER",
     "NOT_CONVERGED",
+    "MIGRATION_DIVERGENCE",
     # harness
     "SimulationPlan",
     "SimulationResult",

@@ -31,11 +31,13 @@ Checked properties:
   the acknowledged live bytes, plus at most the bytes of ambiguous
   allocations/frees (the "maybe" set).
 
-Three more kinds come from end-of-run audits of the live cluster rather
-than from the history (see :func:`~repro.resilience.simulation.harness.run_simulation`):
+Four more kinds come from audits of the live cluster rather than from
+the history (see :func:`~repro.resilience.simulation.harness.run_simulation`):
 **split-brain** (two servers executed mutations under one epoch),
-**stale-leader** (a live non-leader accepted a mutating probe) and
-**not-converged** (a live leader exists but a client ended elsewhere).
+**stale-leader** (a live non-leader accepted a mutating probe),
+**not-converged** (a live leader exists but a client ended elsewhere)
+and **migration-divergence** (at a migration's cutover the target's
+state fingerprint or reply cache differed from the source's).
 
 Crash-coupled durability: the replication link trades durability for
 availability *deliberately* -- a witness-blessed primary that cannot
@@ -73,6 +75,7 @@ BYTES_UNACCOUNTED = "bytes-unaccounted"
 SPLIT_BRAIN = "split-brain"
 STALE_LEADER = "stale-leader"
 NOT_CONVERGED = "not-converged"
+MIGRATION_DIVERGENCE = "migration-divergence"
 
 VIOLATION_KINDS = (
     DOUBLE_EXECUTION,
@@ -84,6 +87,7 @@ VIOLATION_KINDS = (
     SPLIT_BRAIN,
     STALE_LEADER,
     NOT_CONVERGED,
+    MIGRATION_DIVERGENCE,
 )
 
 

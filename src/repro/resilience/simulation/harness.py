@@ -18,7 +18,9 @@ server-side handler execution; :func:`run_simulation` finishes by
 healing all faults, converging the clients and handing the history to
 the :class:`~repro.resilience.simulation.checker.HistoryChecker`, then
 audits the live cluster (split-brain, stale leader, convergence)
-without adding to the history.
+without adding to the history.  Every completed migration is audited
+the same way at cutover (target state and reply cache must equal the
+source's).
 
 Everything Cricket-flavored is imported inside the builder/run
 functions, keeping this module importable from the resilience layer
@@ -29,10 +31,12 @@ from __future__ import annotations
 
 import random
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.resilience.simulation.checker import (
+    MIGRATION_DIVERGENCE,
     NOT_CONVERGED,
     SPLIT_BRAIN,
     STALE_LEADER,
@@ -70,6 +74,9 @@ _WORKLOAD_STREAM = 0x576F726B
 
 #: mutating probes the stale-leader audit sends each live non-leader
 _STALE_PROBES = 3
+
+#: ``migrate`` fault params (none: the fault-free in-memory migration)
+_MIGRATE_FAULTS = ("disconnect_before", "corrupt_sends", "kill_target", "torn_journal")
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,8 @@ class SimulationResult:
     epochs_served: dict[str, list[int]] = field(default_factory=dict)
     #: connectivity checks the partition oracle blocked (ha_pair)
     links_blocked: int = 0
+    #: one MigrationReport per completed ``migrate`` event, in order
+    migrations: list[Any] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -197,6 +206,10 @@ class _Cluster:
         self.pending_heals: list[tuple[float, str, str]] = []
         self.checkpoints_taken = 0
         self.checkpoint_failures = 0
+        #: MigrationReports of completed migrations
+        self.migrations: list[Any] = []
+        #: end-of-migration audit findings (no history event)
+        self.migration_violations: list[Violation] = []
 
     # -- leadership ---------------------------------------------------------
 
@@ -460,29 +473,96 @@ class _Cluster:
         self._swap_server(new_server)
 
     def _apply_migrate(self, event: NemesisEvent) -> None:
+        """Live-migrate the server to a fresh process via ``migrate_live``.
+
+        Any fault param (:data:`_MIGRATE_FAULTS`, documented in
+        ARCHITECTURE §13) puts the migration on journal storage.
+        """
+        from repro.cricket.ckptstore import FileStorage
         from repro.cricket.migration import (
+            FaultyMigrationChannel,
             LoopbackMigrationChannel,
             MigrationSource,
             MigrationTarget,
+            migrate_live,
         )
+        from repro.resilience.faults import FaultyStorage, StorageFaultPlan
 
         old = self.servers["server"]
         if old.killed:
             return
-        source = MigrationSource(old)
-        target = MigrationTarget(_make_server(self.clock))
-        channel = LoopbackMigrationChannel(target)
-        try:
-            source.start(channel)
-            source.run_precopy(channel)
-            source.stop_and_copy(channel)
-            new_server = target.finalize()
-        except Exception:
-            # A doomed migration aborts; the source resumes serving.
-            old.serving_paused = False
-            return
-        source.cutover()
-        self._swap_server(new_server)
+        params = event.params
+        faulted = any(key in params for key in _MIGRATE_FAULTS)
+        scratch = tempfile.TemporaryDirectory(prefix="sim-mig-") if faulted else nullcontext()
+        with scratch as tmpdir:
+            storage = FileStorage(tmpdir) if faulted else None
+            journal = storage and FaultyStorage(storage, StorageFaultPlan(
+                torn_write_next=int(params.get("torn_journal", 0)), seed=self.plan.seed,
+            ))
+            source = MigrationSource(old, storage=storage)
+            target = MigrationTarget(_make_server(self.clock), storage=journal)
+            channel = None
+            if faulted:
+                channel = _TargetKillChannel(
+                    FaultyMigrationChannel(
+                        LoopbackMigrationChannel(target),
+                        disconnect_before=params.get("disconnect_before"),
+                        corrupt_sends=params.get("corrupt_sends"),
+                    ),
+                    target,
+                    params.get("kill_target", ()),
+                )
+            try:
+                report = migrate_live(source, target, channel)
+            except Exception:
+                # A doomed migration aborts; the source resumes serving.
+                old.resume_serving()
+                return
+        self._audit_migration(old, target.server)
+        self.migrations.append(report)
+        self._swap_server(target.server)
+
+    def _audit_migration(self, source, target) -> None:
+        """At cutover the target must hold exactly the source's state."""
+        from repro.cricket.replication import state_fingerprint
+
+        if (
+            state_fingerprint(target) != state_fingerprint(source)
+            or target._reply_cache != source._reply_cache
+        ):
+            self.migration_violations.append(Violation(
+                kind=MIGRATION_DIVERGENCE,
+                detail="migrated state or reply cache differs from the "
+                       "source's at cutover",
+                node="server",
+                index=len(self.recorder.events) - 1,
+            ))
+
+
+class _TargetKillChannel:
+    """Kills the target before each ``kill_before`` send ordinal.
+
+    Ordinals share the wrapped :class:`FaultyMigrationChannel`'s send
+    count.  ``recover()`` drops the target's staging and replays its
+    journal; the send then fails like a disconnect, so ``migrate_live``
+    resumes from the recovered cursor.
+    """
+
+    def __init__(self, inner, target, kill_before) -> None:
+        self.inner = inner
+        self.target = target
+        self.kill_before = set(kill_before)
+
+    def send(self, blob: bytes) -> int:
+        ordinal = self.inner.sends + 1
+        if ordinal not in self.kill_before:
+            return self.inner.send(blob)
+        from repro.cricket.errors import MigrationChannelError
+
+        self.kill_before.discard(ordinal)
+        self.inner.sends = ordinal
+        self.target.recover()
+        raise MigrationChannelError(f"target killed before send {ordinal}")
 
 
 def _used_bytes(server) -> int:
@@ -886,6 +966,7 @@ def run_simulation(
     recorder.audit(final_name or "server", _used_bytes(final_server))
 
     violations = HistoryChecker().check(recorder.events)
+    violations += cluster.migration_violations
     events = list(recorder.events)
     fingerprint = recorder.fingerprint()
     counters = final_server.server_stats.as_dict()
@@ -922,4 +1003,5 @@ def run_simulation(
         client_counters=client_counters,
         epochs_served=epochs_served,
         links_blocked=cluster.state.blocked if cluster.state else 0,
+        migrations=cluster.migrations,
     )

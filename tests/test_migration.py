@@ -1,5 +1,12 @@
-"""Tests for resumable live migration and the migration chaos harness."""
+"""Tests for resumable live migration, standalone and in the simulator.
 
+The simulator scenarios run the migration fault mix (disconnects, a
+corrupt chunk, a target kill and a torn journal append) as an explicit
+``migrate`` nemesis event, so the history checker and the end-of-
+migration audit judge the outcome.
+"""
+
+import random
 import struct
 
 import pytest
@@ -15,6 +22,7 @@ from repro.cricket import (
     SocketMigrationChannel,
     migrate_live,
 )
+from repro.cricket import migration as migration_module
 from repro.cricket.data_channel import DataChannelClient, DataChannelServer
 from repro.cricket.errors import (
     ChunkRejectedError,
@@ -29,9 +37,22 @@ from repro.cricket.migration import (
 )
 from repro.cricket.replication import state_fingerprint
 from repro.gpu import A100, GpuDevice
-from repro.resilience.chaos import MigrationChaosHarness, MigrationChaosPlan
+from repro.resilience import chaos_seeds
 from repro.resilience.failover import LoopbackEndpoint
 from repro.resilience.retry import RetryPolicy
+from repro.resilience.simulation import (
+    GPU_THROTTLE,
+    MIGRATE,
+    MIGRATION_DIVERGENCE,
+    STORAGE_TORN,
+    NemesisEvent,
+    SimulationPlan,
+    load_trace,
+    replay_trace,
+    run_simulation,
+    save_trace,
+    shrink_schedule,
+)
 
 MIB = 1 << 20
 
@@ -106,6 +127,27 @@ class TestLiveMigration:
         # because redelivery starts exactly after the last ack
         assert target.server.server_stats.migration_chunks_duplicate == 0
         assert state_fingerprint(target.server) == fingerprint
+
+    @pytest.mark.parametrize("ordinal", [1, 2])
+    def test_fault_in_round_zero_ships_every_page_once_counted(self, ordinal):
+        # Pages already clean when the migration starts are round-0 data
+        # too: a fault on BEGIN (ordinal 1) must not let the re-entered
+        # start() ship only the dirty delta, and a fault anywhere in
+        # round 0 must not drop it from the round count.
+        source, _client, _ptrs = populated(allocs=4, size=128 * 1024)
+        source.device.delta_fragments()
+        fingerprint = state_fingerprint(source)
+        target = MigrationTarget(small_server())
+        channel = FaultyMigrationChannel(
+            LoopbackMigrationChannel(target), disconnect_before={ordinal}
+        )
+        report = migrate_live(MigrationSource(source), target, channel)
+        assert report.completed
+        assert report.resumes == 1
+        assert state_fingerprint(target.server) == fingerprint
+        # round 0 plus the stop-and-copy round
+        assert report.rounds == 2
+        assert source.server_stats.migration_rounds == 2
 
     def test_corrupt_chunk_naks_and_retransmits(self):
         source, _client, _ptrs = populated()
@@ -269,37 +311,106 @@ class TestLiveMigration:
             data_server.close()
 
 
-class TestMigrationChaosHarness:
+# -- the migration fault mix in the simulator ---------------------------------
+
+
+def _plan(seed):
+    """Allocations of 256 KiB put one per chunk, so faults land mid-stream."""
+    return SimulationPlan(topology="single", seed=seed, alloc_bytes=256 << 10)
+
+
+def _fault_mix(seed):
+    """Two channel breaks at send ordinals 2-6, the first of them a target
+    kill, one corrupt chunk at 2-4 and one torn journal append."""
+    rng = random.Random(seed)
+    first, second = sorted(rng.sample(range(2, 7), 2))
+    corrupt = rng.choice([n for n in range(2, 5) if n not in (first, second)])
+    return {
+        "kill_target": [first],
+        "disconnect_before": [second],
+        "corrupt_sends": [corrupt],
+        "torn_journal": 1,
+    }
+
+
+def _migrate(seed, params):
+    return run_simulation(
+        _plan(seed), schedule=[NemesisEvent(6.0, MIGRATE, params)]
+    )
+
+
+def _check_clean_migration(result):
+    # lost allocations, unaccounted bytes and a target that differs from
+    # the source at cutover are all violations
+    assert result.clean, result.violations
+    assert result.applied == [MIGRATE]
+    [report] = result.migrations
+    assert report.completed and not report.aborted
+    assert report.pause_ns <= MigrationConfig().pause_budget_ns
+    # resumed, never restarted: the target (the final server) absorbed no
+    # redelivery, and its journal restores last_acked across a kill
+    assert result.counters["server.migration_chunks_duplicate"] == 0
+    return report
+
+
+class TestMigrationNemesis:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_full_schedule_is_clean(self, seed):
-        result = MigrationChaosHarness(MigrationChaosPlan(seed=seed)).run()
-        assert result.clean, result
-        assert result.lost_allocations == 0
-        assert result.bytes_unaccounted == 0
-        assert result.resumes > 0
-        assert result.target_recoveries == 1
-        assert result.begin_deliveries == 1  # never restarted from chunk one
-        assert result.chunks_duplicate == 0
-        assert result.pause_ns <= result.pause_budget_ns
-        assert result.torn_fallback_ok
-        assert result.checkpoint_fallbacks >= 1
-        assert result.replay_cache_ok
-        assert result.failovers >= 1
+    def test_fault_mix_is_clean(self, seed):
+        report = _check_clean_migration(_migrate(seed, _fault_mix(seed)))
+        # the kill, the disconnect and the torn append each resume once
+        assert report.resumes == 3
 
     def test_fault_free_control(self):
-        plan = MigrationChaosPlan(
-            disconnects=0,
-            corrupt_chunk=False,
-            kill_target=False,
-            storage_faults=False,
-            torn_checkpoint=False,
-        )
-        result = MigrationChaosHarness(plan).run()
-        assert result.clean, result
-        assert result.faults_injected == 0
-        assert result.resumes == 0
-        assert result.chunks_resent == 0
+        report = _check_clean_migration(_migrate(0, {}))
+        assert report.resumes == 0
+        assert report.chunks_resent == 0
 
-    def test_kill_target_requires_a_disconnect(self):
-        with pytest.raises(ValueError):
-            MigrationChaosPlan(disconnects=0, kill_target=True)
+    def test_target_kill_replays_the_journal(self):
+        # Chunks 1-2 are acked and pruned from the outbox before the kill:
+        # only the journal replay lets the resume continue at chunk 3.
+        report = _check_clean_migration(_migrate(0, {"kill_target": [3]}))
+        assert report.resumes == 1
+
+    def test_torn_begin_append_loses_nothing(self):
+        # The tear fails BEGIN itself; round 0 must still ship every page.
+        report = _check_clean_migration(_migrate(0, {"torn_journal": 1}))
+        assert report.resumes == 1
+        assert report.rounds == 2
+
+    def test_faulted_trace_replays(self, tmp_path):
+        plan = _plan(1)
+        schedule = [NemesisEvent(6.0, MIGRATE, _fault_mix(1))]
+        result = run_simulation(plan, schedule=schedule)
+        trace = tmp_path / "migrate.json"
+        save_trace(str(trace), plan, schedule, result)
+        _, loaded, _ = load_trace(str(trace))
+        assert loaded == schedule
+        assert replay_trace(str(trace)).fingerprint == result.fingerprint
+
+    def test_divergent_migration_is_caught_and_shrunk(self, monkeypatch):
+        assemble = migration_module._assemble_state
+        monkeypatch.setattr(
+            migration_module,
+            "_assemble_state",
+            lambda meta, fragments: assemble(meta, fragments[:-1]),
+        )
+        plan = SimulationPlan(topology="single", seed=0)
+        migrate = NemesisEvent(6.0, MIGRATE, {})
+        schedule = [
+            NemesisEvent(2.0, STORAGE_TORN, {"count": 1}),
+            migrate,
+            NemesisEvent(8.0, GPU_THROTTLE, {"severity": 3.0}),
+        ]
+        result = run_simulation(plan, schedule=schedule)
+        assert MIGRATION_DIVERGENCE in result.violation_kinds()
+        minimal, _ = shrink_schedule(
+            plan, schedule, kinds=[MIGRATION_DIVERGENCE]
+        )
+        assert minimal == [migrate]
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("seed", chaos_seeds(default=tuple(range(6))))
+def test_migration_fault_mix_soak(seed):
+    report = _check_clean_migration(_migrate(seed, _fault_mix(seed)))
+    assert report.resumes == 3

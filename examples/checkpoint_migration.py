@@ -6,8 +6,8 @@ nodes -- the "runtime reorganization of tasks" the paper's conclusion
 highlights for large unikernel deployments.  This example factorizes a
 matrix on node A, then live-migrates the GPU state to node B with the
 iterative pre-copy protocol: dirty pages stream while node A keeps
-serving, a mid-transfer disconnect is healed by resuming from the
-persistent cursor (no restart), and the final stop-and-copy pause stays
+serving, a mid-transfer disconnect is healed by resuming from the last
+acknowledged chunk (no restart), and the final stop-and-copy pause stays
 within budget.  Node B finishes the solve with the same handles and
 device pointers.
 
@@ -89,11 +89,12 @@ def main(legacy_blob: bool = False) -> None:
         client.restore(blob)
         print("[node-B] blob restored; resuming with the same handles")
     else:
-        with tempfile.TemporaryDirectory() as cursor_dir:
-            source = MigrationSource(node_a, storage=cursor_dir)
-            target = MigrationTarget(node_b, storage=cursor_dir)
-            # drop the link before chunk 3 lands: the cursor + receiver
-            # journal turn the disconnect into a resume, not a restart
+        with tempfile.TemporaryDirectory() as journal_dir:
+            source = MigrationSource(node_a)
+            target = MigrationTarget(node_b, storage=journal_dir)
+            # drop the link before chunk 3 lands: the sender's outbox and
+            # the receiver journal turn the disconnect into a resume, not
+            # a restart
             channel = FaultyMigrationChannel(
                 LoopbackMigrationChannel(target), disconnect_before={3}
             )

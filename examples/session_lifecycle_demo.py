@@ -5,9 +5,12 @@ A Cricket server is a multi-tenant resource: unikernel clients come and go,
 and some of them go by crashing.  This demo shows the server-side
 governance layer keeping the GPU clean through all of it:
 
-1. a seeded chaos run kills clients mid-allocation loop across several
-   rounds; after their leases and grace periods lapse the reaper returns
-   every leaked byte, while surviving (heartbeating) clients keep theirs;
+1. a seeded nemesis simulation kills clients mid-workload, beside a
+   drain/restore and a live migration that carry the session table to
+   new server processes; after the dead clients' leases and grace
+   periods lapse the reaper returns every byte they held, while
+   surviving (heartbeating) clients keep theirs -- the simulator's
+   session-leak audit checks exactly that;
 2. admission control caps concurrent sessions and a per-client memory
    quota turns greedy ``cudaMalloc`` calls into clean CUDA errors;
 3. a draining shutdown stops admitting new sessions, snapshots the
@@ -17,36 +20,40 @@ governance layer keeping the GPU clean through all of it:
    reply-cache numbers.
 
 Run:  python examples/session_lifecycle_demo.py
-(CHAOS_SEED=<n> varies the kill schedule -- the CI soak loops over seeds.)
+(CHAOS_SEED=<n> varies the workload and who dies -- the CI soak loops over seeds.)
 """
 
 from repro.cricket import CricketServer
 from repro.cricket.client import CricketClient
 from repro.cuda.errors import CudaError
-from repro.resilience import ChaosHarness, ChaosPlan, chaos_seeds
+from repro.resilience import NemesisEvent, SimulationPlan, chaos_seeds, run_simulation
+from repro.resilience.simulation import DRAIN_RESTORE, KILL_CLIENT, MIGRATE
 
 MiB = 1 << 20
 
 
 def chaos_round() -> None:
-    """Kill clients mid-malloc loop; the reaper must reclaim every byte."""
+    """Kill clients mid-workload; the reaper must reclaim every byte."""
     seed = chaos_seeds(default=(7,))[0]
-    plan = ChaosPlan(clients=5, rounds=3, kills=3, allocs_per_round=4, seed=seed)
-    harness = ChaosHarness(plan)
-    result = harness.run()
-    print(f"[chaos]   {len(result.killed)} clients killed mid-loop over "
-          f"{plan.rounds} rounds; they leaked "
-          f"{result.leaked_bytes_before_reap // MiB} MiB before the reap")
-    assert result.clean, "reaper left leaked bytes behind!"
-    print(f"[chaos]   after lease+grace lapsed: {result.leaked_bytes_after_reap} "
-          f"bytes owned by dead sessions; {len(result.survivors)} survivors "
-          f"kept {result.survivor_bytes // MiB} MiB "
-          f"(allocator agrees: {result.allocator_used_bytes // MiB} MiB)")
+    plan = SimulationPlan(topology="single", seed=seed, clients=5)
+    schedule = [
+        NemesisEvent(2.0, KILL_CLIENT, {"client": seed}),
+        NemesisEvent(4.0, DRAIN_RESTORE),
+        NemesisEvent(6.0, KILL_CLIENT, {"client": seed + 2}),
+        NemesisEvent(8.0, MIGRATE),
+        NemesisEvent(10.0, KILL_CLIENT, {"client": seed + 4}),
+    ]
+    result = run_simulation(plan, schedule=schedule)
+    assert result.clean, f"session leak or lost write: {result.violations}"
     counters = result.counters
-    print(f"[chaos]   counters: opened={counters['server.sessions_opened']} "
-          f"expired={counters['server.sessions_expired']} "
-          f"reclaimed={counters['server.sessions_reclaimed']} "
-          f"bytes_reclaimed={counters['server.bytes_reclaimed'] // MiB} MiB")
+    assert counters["server.bytes_reclaimed"] > 0, "the kills leaked nothing?"
+    print(f"[chaos]   3 of {plan.clients} clients killed mid-workload beside "
+          f"a drain/restore and a live migration; "
+          f"{result.outcomes.get('ok', 0)} ops ok, history checker clean")
+    print(f"[chaos]   after lease+grace lapsed the reaper reclaimed "
+          f"{counters['server.sessions_reclaimed']} sessions and "
+          f"{counters['server.bytes_reclaimed'] // 1024} KiB; survivors kept "
+          f"every byte (session-leak audit clean)")
 
 
 def governance() -> None:

@@ -13,8 +13,8 @@ checkpoints), built for faults:
   to the target in CRC'd chunks.  Each round ships only what changed
   since the previous one, so the final pause covers the residual dirty
   set, not the whole device.
-* **Resume cursor** -- every acknowledged chunk advances a persistent
-  cursor; the sender's outbox holds unacknowledged chunks.  A channel
+* **Resume cursor** -- every acknowledged chunk advances the sender's
+  in-memory cursor; its outbox holds unacknowledged chunks.  A channel
   disconnect (or a target kill) resumes from the last acknowledged chunk:
   the counters prove no full restart.
 * **Receiver journal** -- the target appends every applied chunk to a
@@ -34,7 +34,6 @@ checkpoints), built for faults:
 
 from __future__ import annotations
 
-import json
 import pickle
 import struct
 from bisect import bisect_right
@@ -437,10 +436,10 @@ class MigrationSource:
     """Drives a migration from the source server's side.
 
     Phases: ``idle -> precopy -> paused -> cutover-ready -> done`` (or
-    ``aborted``).  The phase plus the acknowledged-chunk cursor is
-    persisted after every ack, so progress is observable and resumable;
-    unacknowledged chunks wait in the in-memory outbox for
-    :meth:`resume` to resend.
+    ``aborted``).  The phase and the acknowledged-chunk cursor live in
+    memory: a source that crashes has lost the device memory being
+    migrated, so there is nothing to restart from.  Unacknowledged
+    chunks wait in the outbox for :meth:`resume` to resend.
     """
 
     def __init__(
@@ -448,15 +447,11 @@ class MigrationSource:
         server: "CricketServer",
         *,
         config: MigrationConfig | None = None,
-        storage=None,
-        cursor_name: str = "migration.cursor",
         migration_id: str = "mig-1",
         stats: "ServerStats | None" = None,
     ) -> None:
         self.server = server
         self.config = config if config is not None else MigrationConfig()
-        self.storage = _coerce_storage(storage)
-        self.cursor_name = cursor_name
         self.migration_id = migration_id
         self.stats = stats if stats is not None else server.server_stats
         self.phase = "idle"
@@ -504,7 +499,6 @@ class MigrationSource:
             self.acked = ack
             for seq in [s for s in self._outbox if s <= ack]:
                 del self._outbox[seq]
-            self._save_cursor()
 
     def _send(self, channel, kind: int, payload: bytes) -> None:
         seq, blob = self._next_chunk(kind, payload)
@@ -558,35 +552,6 @@ class MigrationSource:
         for seq, blob in queued:
             self._deliver(channel, seq, blob)
         return total
-
-    # -- cursor persistence --------------------------------------------------
-
-    def _save_cursor(self) -> None:
-        if self.storage is None:
-            return
-        cursor = {
-            "migration_id": self.migration_id,
-            "phase": self.phase,
-            "round": self.round,
-            "acked": self.acked,
-            "seq": self._seq,
-        }
-        framed = append_crc(json.dumps(cursor, sort_keys=True).encode())
-        try:
-            self.storage.write_atomic(self.cursor_name, framed)
-        except OSError:
-            # A lost cursor write costs resume precision, never correctness:
-            # the receiver de-duplicates anything resent from an older ack.
-            pass
-
-    def load_cursor(self) -> dict | None:
-        """The persisted cursor, or ``None`` when absent/corrupt."""
-        if self.storage is None or not self.storage.exists(self.cursor_name):
-            return None
-        try:
-            return json.loads(verify_crc(self.storage.read(self.cursor_name)))
-        except (RpcIntegrityError, ValueError, OSError):
-            return None
 
     # -- phases --------------------------------------------------------------
 
@@ -649,7 +614,6 @@ class MigrationSource:
         # COMMIT supersedes any partial one on the receiver.
         self.phase = "paused"
         self.server.pause_serving()
-        self._save_cursor()
         try:
             device = self.server.device
             final_bytes = self._send_fragments(channel, device.delta_fragments())
@@ -673,7 +637,6 @@ class MigrationSource:
             self.report.pause_ns += pause_ns
             self.stats.migration_pause_ns += pause_ns
             self.phase = "cutover-ready"
-            self._save_cursor()
         except MigrationChannelError:
             # Still paused: resume() will finish the stop-and-copy.
             raise
@@ -695,9 +658,6 @@ class MigrationSource:
         self.phase = "done"
         self.report.completed = True
         self.stats.migrations_completed += 1
-        self._save_cursor()
-        if self.storage is not None:
-            self.storage.remove(self.cursor_name)
 
     def abort(self, channel=None) -> None:
         """Abandon the migration; the source serves again immediately."""
@@ -713,7 +673,6 @@ class MigrationSource:
         self.phase = "aborted"
         self.report.aborted = True
         self.stats.migrations_aborted += 1
-        self._save_cursor()
 
     # -- resume after a fault ------------------------------------------------
 

@@ -108,17 +108,10 @@ class RpcClient:
         #: observer invoked with each new call's xid before it is sent; the
         #: Cricket client's cancel-scope uses this to track what to cancel
         self.xid_observer: Callable[[int], None] | None = None
-        #: observer invoked when a call finishes, with ``(xid, proc, exc)``
-        #: where ``exc`` is None on success or the exception about to
-        #: propagate (typed sheds like RpcBusyError/RpcNotLeaderError as
-        #: well as ambiguous transport failures).  The simulation history
-        #: recorder uses this to attach the xid and typed outcome to each
-        #: client-edge invocation.
-        self.outcome_observer: Callable[[int, int, BaseException | None], None] | None = None
         #: observer invoked with ``(xid, proc, exc)`` for every *failed,
         #: retryable attempt* inside the retry loop, before the backoff.
-        #: The final outcome still arrives via :attr:`outcome_observer`;
-        #: this stream is what lets a history recorder notice that an
+        #: The final outcome is the exception ``call_raw`` raises; this
+        #: stream is what lets a history recorder notice that an
         #: ambiguous attempt (lost reply -- the call may have executed)
         #: preceded a later typed refusal, which would otherwise mask it.
         self.attempt_observer: Callable[[int, int, BaseException], None] | None = None
@@ -158,20 +151,9 @@ class RpcClient:
         """Invoke ``proc`` with pre-encoded ``args``; return raw result bytes."""
         xid = next(_xid_counter) & 0xFFFFFFFF
         self._note_xid(xid)
-        try:
-            if self.retry_policy is None:
-                result = self._call_once(
-                    xid, self._encode_call(xid, proc, args, None)
-                )
-            else:
-                result = self._call_with_retry(xid, proc, args)
-        except BaseException as exc:
-            if self.outcome_observer is not None:
-                self.outcome_observer(xid, proc, exc)
-            raise
-        if self.outcome_observer is not None:
-            self.outcome_observer(xid, proc, None)
-        return result
+        if self.retry_policy is None:
+            return self._call_once(xid, self._encode_call(xid, proc, args, None))
+        return self._call_with_retry(xid, proc, args)
 
     def _call_once(self, xid: int, encoded: bytes) -> bytes:
         """The historical fail-fast path: one send, one receive."""

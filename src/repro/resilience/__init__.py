@@ -31,9 +31,6 @@ the cache instead of being executed twice.
 from repro.resilience.chaos import (
     GRAY_TOPOLOGIES,
     SANITIZER_BUG_KINDS,
-    ChaosHarness,
-    ChaosPlan,
-    ChaosResult,
     GrayFailureChaosHarness,
     GrayFailureChaosPlan,
     GrayFailureChaosResult,
@@ -90,7 +87,6 @@ from repro.resilience.scaffold import (
     advance_past_grace,
     detection_window,
     draw_free_candidate,
-    spread,
 )
 from repro.resilience.seeds import (
     CHAOS_SEED_ENV,
@@ -130,9 +126,6 @@ __all__ = [
     "TcpEndpoint",
     "ResilienceStats",
     "ServerStats",
-    "ChaosPlan",
-    "ChaosHarness",
-    "ChaosResult",
     "OverloadConfig",
     "OverloadQueue",
     "OverloadController",
@@ -172,7 +165,6 @@ __all__ = [
     "FaultyEndpoint",
     # shared harness scaffolding
     "PayloadPattern",
-    "spread",
     "draw_free_candidate",
     "advance_past_grace",
     "detection_window",

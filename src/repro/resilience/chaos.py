@@ -1,24 +1,21 @@
-"""Chaos harness: kill Cricket clients mid-stream, assert nothing leaks.
+"""Chaos harnesses not yet folded into the nemesis simulator.
 
-The acceptance bar for the session-lifecycle subsystem is blunt: after a
-seeded schedule of client kills, the device allocator must report **zero**
-bytes owned by dead sessions, while surviving clients keep every byte they
-allocated.  :class:`ChaosHarness` packages that experiment so tests, the
-CI soak step and the demo example all run the identical scenario:
+Each harness is a seeded Plan/Result/Harness triple that tests, a CI
+soak step and a demo run as the identical scenario:
 
-* N loopback clients share one lease-enabled
-  :class:`~repro.cricket.server.CricketServer` on a
-  :class:`~repro.net.simclock.SimClock`;
-* each round, every live client allocates device memory and touches it; a
-  seeded RNG picks victims and abandons them *mid-allocation loop* -- no
-  ``cudaFree``, no goodbye, exactly like a crashed unikernel;
-* survivors heartbeat (``rpc_ping``) while virtual time advances past the
-  victims' lease + grace windows, so the reaper orphans and then reclaims
-  only the dead.
+* :class:`OverloadChaosHarness` -- open-loop storms at a multiple of
+  server capacity: fair shedding, bounded queues, no expired execution;
+* :class:`SanitizerChaosHarness` -- one buggy tenant beside healthy
+  ones: every bug detected, contained and healed without a restart;
+* :class:`GrayFailureChaosHarness` -- limplocks (slow endpoint,
+  throttled GPU, slow fsync, limping standby) detected within a budget.
 
-Everything is deterministic: same seed, same kills, same counters.
-Imports of :mod:`repro.cricket` stay inside functions -- resilience is a
-lower layer and must not import the Cricket stack at module load.
+Client kills and session-leak accounting live in the simulator
+(:mod:`repro.resilience.simulation`: the ``kill_client`` event and its
+session-leak audit).  Everything is deterministic: same seed, same
+counters.  Imports of :mod:`repro.cricket` stay inside functions --
+resilience is a lower layer and must not import the Cricket stack at
+module load.
 """
 
 from __future__ import annotations
@@ -31,134 +28,7 @@ from repro.resilience.scaffold import (
     advance_past_grace,
     detection_window,
     draw_free_candidate,
-    spread as _spread,
 )
-
-
-@dataclass
-class ChaosPlan:
-    """Seeded description of one chaos run."""
-
-    #: concurrent loopback clients
-    clients: int = 4
-    #: allocate/kill rounds
-    rounds: int = 3
-    #: total clients to kill across the run (must be < clients)
-    kills: int = 2
-    #: allocations each live client makes per round
-    allocs_per_round: int = 4
-    #: size of each allocation
-    alloc_bytes: int = 1 << 20
-    #: RNG seed for the kill schedule
-    seed: int = 0
-    #: server lease interval (virtual seconds)
-    lease_s: float = 1.0
-    #: orphan grace period (virtual seconds)
-    grace_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kills >= self.clients:
-            raise ValueError("kills must leave at least one survivor")
-
-
-@dataclass
-class ChaosResult:
-    """Outcome of a chaos run, ready for assertions."""
-
-    #: session identities of the killed clients
-    killed: list[str]
-    #: session identities of the surviving clients
-    survivors: list[str]
-    #: device bytes still attributed to dead sessions before the reap
-    leaked_bytes_before_reap: int
-    #: device bytes attributed to dead sessions after the reap (must be 0)
-    leaked_bytes_after_reap: int
-    #: device bytes surviving clients still own after the reap
-    survivor_bytes: int
-    #: allocator-reported total usage after the reap
-    allocator_used_bytes: int
-    #: ``ServerStats.as_dict()`` at the end of the run
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        """True when dead sessions leaked nothing and survivors kept all."""
-        return (
-            self.leaked_bytes_after_reap == 0
-            and self.allocator_used_bytes == self.survivor_bytes
-        )
-
-
-class ChaosHarness:
-    """Run a :class:`ChaosPlan` against a fresh lease-enabled server."""
-
-    def __init__(self, plan: ChaosPlan | None = None) -> None:
-        self.plan = plan if plan is not None else ChaosPlan()
-        #: the server of the most recent run (inspection/debugging)
-        self.server: Any = None
-
-    def run(self) -> ChaosResult:
-        """Execute the plan; returns the leak accounting."""
-        import random
-
-        from repro.cricket.client import CricketClient
-        from repro.cricket.server import CricketServer
-
-        plan = self.plan
-        rng = random.Random(plan.seed)
-        server = CricketServer(lease_s=plan.lease_s, grace_s=plan.grace_s)
-        self.server = server
-        clients = {i: CricketClient.loopback(server) for i in range(plan.clients)}
-        killed: list[str] = []
-
-        kills_per_round = _spread(plan.kills, plan.rounds, rng)
-        for round_kills in kills_per_round:
-            victims: set[int] = set()
-            for _ in range(round_kills):
-                candidates = sorted(k for k in clients if k not in victims)
-                # plan.kills < plan.clients guarantees candidates is never
-                # empty and at least one client outlives the whole run
-                victims.add(rng.choice(candidates))
-            for index, client in list(clients.items()):
-                # A victim dies *mid*-loop: after at least one allocation
-                # (so it always leaves something to leak) but before the
-                # round completes.
-                cut = (
-                    1 + rng.randrange(max(plan.allocs_per_round - 1, 1))
-                    if index in victims
-                    else plan.allocs_per_round
-                )
-                for i in range(plan.allocs_per_round):
-                    if index in victims and i >= cut:
-                        break  # crash mid-loop: no free, no farewell
-                    ptr = client.malloc(plan.alloc_bytes)
-                    client.memcpy_h2d(ptr, b"\xab" * min(64, plan.alloc_bytes))
-                if index in victims:
-                    killed.append(client.session_identity)
-                    del clients[index]
-
-        leaked_before = sum(server.bytes_owned_by(i) for i in killed)
-
-        # Let the victims' leases and grace periods lapse.  Survivors
-        # heartbeat every half-lease so only the dead expire.
-        advance_past_grace(
-            server.clock,
-            plan.lease_s,
-            plan.grace_s,
-            on_tick=lambda: [c.renew_lease() for c in clients.values()],
-        )
-        server.reap_sessions()
-
-        survivors = [c.session_identity for c in clients.values()]
-        return ChaosResult(
-            killed=killed,
-            survivors=survivors,
-            leaked_bytes_before_reap=leaked_before,
-            leaked_bytes_after_reap=sum(server.bytes_owned_by(i) for i in killed),
-            survivor_bytes=sum(server.bytes_owned_by(i) for i in survivors),
-            allocator_used_bytes=sum(d.allocator.used_bytes for d in server.devices),
-            counters=server.server_stats.as_dict(),
-        )
 
 
 # -- overload chaos: more offered load than the server can execute ---------

@@ -18,17 +18,6 @@ import random
 from typing import Callable
 
 
-def spread(total: int, buckets: int, rng: random.Random) -> list[int]:
-    """Distribute ``total`` events over ``buckets`` rounds, seeded.
-
-    Draw order: exactly ``total`` calls to ``rng.randrange(buckets)``.
-    """
-    counts = [0] * buckets
-    for _ in range(total):
-        counts[rng.randrange(buckets)] += 1
-    return counts
-
-
 class PayloadPattern:
     """The shared 255-step payload generator.
 

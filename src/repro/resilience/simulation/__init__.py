@@ -24,6 +24,7 @@ from repro.resilience.simulation.checker import (
     MIGRATION_DIVERGENCE,
     NOT_CONVERGED,
     POINTER_REUSE,
+    SESSION_LEAK,
     SPLIT_BRAIN,
     STALE_LEADER,
     USE_AFTER_FREE,
@@ -37,6 +38,7 @@ from repro.resilience.simulation.events import (
     GPU_FAULT,
     GPU_THROTTLE,
     HA_PAIR_KINDS,
+    KILL_CLIENT,
     KILL_PRIMARY,
     LIMP_ENDPOINT,
     MIGRATE,
@@ -95,6 +97,7 @@ __all__ = [
     "DRAIN_RESTORE",
     "MIGRATE",
     "BUG_DOUBLE_EXECUTE",
+    "KILL_CLIENT",
     "HA_PAIR_KINDS",
     "SINGLE_KINDS",
     "PARTITION_SHAPES",
@@ -124,6 +127,7 @@ __all__ = [
     "STALE_LEADER",
     "NOT_CONVERGED",
     "MIGRATION_DIVERGENCE",
+    "SESSION_LEAK",
     # harness
     "SimulationPlan",
     "SimulationResult",

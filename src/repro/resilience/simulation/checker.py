@@ -31,13 +31,16 @@ Checked properties:
   the acknowledged live bytes, plus at most the bytes of ambiguous
   allocations/frees (the "maybe" set).
 
-Four more kinds come from audits of the live cluster rather than from
+Five more kinds come from audits of the live cluster rather than from
 the history (see :func:`~repro.resilience.simulation.harness.run_simulation`):
 **split-brain** (two servers executed mutations under one epoch),
 **stale-leader** (a live non-leader accepted a mutating probe),
-**not-converged** (a live leader exists but a client ended elsewhere)
-and **migration-divergence** (at a migration's cutover the target's
-state fingerprint or reply cache differed from the source's).
+**not-converged** (a live leader exists but a client ended elsewhere),
+**migration-divergence** (at a migration's cutover the target's
+state fingerprint or reply cache differed from the source's) and
+**session-leak** (after a client kill and a full lease + grace, a
+killed client still owns device bytes, a live client's bytes changed,
+or the allocator holds bytes no live client owns).
 
 Crash-coupled durability: the replication link trades durability for
 availability *deliberately* -- a witness-blessed primary that cannot
@@ -76,6 +79,7 @@ SPLIT_BRAIN = "split-brain"
 STALE_LEADER = "stale-leader"
 NOT_CONVERGED = "not-converged"
 MIGRATION_DIVERGENCE = "migration-divergence"
+SESSION_LEAK = "session-leak"
 
 VIOLATION_KINDS = (
     DOUBLE_EXECUTION,
@@ -88,6 +92,7 @@ VIOLATION_KINDS = (
     STALE_LEADER,
     NOT_CONVERGED,
     MIGRATION_DIVERGENCE,
+    SESSION_LEAK,
 )
 
 

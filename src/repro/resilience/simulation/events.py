@@ -45,6 +45,10 @@ MIGRATE = "migrate"
 #: test-only: arm ``count`` double executions on the current leader --
 #: the intentional bug the checker/shrinker acceptance path catches
 BUG_DOUBLE_EXECUTE = "bug_double_execute"
+#: explicit-only: crash workload client ``client`` (modulo the client
+#: count) like a unikernel that dies -- no frees, no goodbye, no more
+#: calls; the session-leak audit then checks the lease reaper
+KILL_CLIENT = "kill_client"
 
 #: kinds the generator draws for the HA-pair topology
 HA_PAIR_KINDS = (

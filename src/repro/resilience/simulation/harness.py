@@ -17,10 +17,10 @@ The history recorder observes every client-edge operation and every
 server-side handler execution; :func:`run_simulation` finishes by
 healing all faults, converging the clients and handing the history to
 the :class:`~repro.resilience.simulation.checker.HistoryChecker`, then
-audits the live cluster (split-brain, stale leader, convergence)
-without adding to the history.  Every completed migration is audited
-the same way at cutover (target state and reply cache must equal the
-source's).
+audits the live cluster (split-brain, stale leader, convergence and,
+after a ``kill_client`` event, session leaks) without adding to the
+history.  Every completed migration is audited the same way at cutover
+(target state and reply cache must equal the source's).
 
 Everything Cricket-flavored is imported inside the builder/run
 functions, keeping this module importable from the resilience layer
@@ -35,9 +35,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.resilience.scaffold import advance_past_grace
 from repro.resilience.simulation.checker import (
     MIGRATION_DIVERGENCE,
     NOT_CONVERGED,
+    SESSION_LEAK,
     SPLIT_BRAIN,
     STALE_LEADER,
     HistoryChecker,
@@ -48,6 +50,7 @@ from repro.resilience.simulation.events import (
     DRAIN_RESTORE,
     GPU_FAULT,
     GPU_THROTTLE,
+    KILL_CLIENT,
     KILL_PRIMARY,
     LIMP_ENDPOINT,
     MIGRATE,
@@ -210,6 +213,8 @@ class _Cluster:
         self.migrations: list[Any] = []
         #: end-of-migration audit findings (no history event)
         self.migration_violations: list[Violation] = []
+        #: indices of killed workload clients (they issue no more calls)
+        self.killed: set[int] = set()
 
     # -- leadership ---------------------------------------------------------
 
@@ -280,6 +285,52 @@ class _Cluster:
                 ))
         return violations
 
+    def session_leak_violations(self, leader: str, index: int) -> list[Violation]:
+        """Session-leak audit of the live leader after client kills.
+
+        Virtual time marches past one session lease + grace; at every
+        step the live clients heartbeat and the reaper runs (it needs
+        one pass to orphan a lapsed session and a later one to reclaim
+        it).  Then every killed identity must own nothing, every live
+        client must own what it did before, and the allocator must hold
+        exactly the live clients' bytes.  Run after the history is
+        sealed, like the fence audits.
+        """
+        from repro.cuda.errors import CudaError
+        from repro.oncrpc.errors import RpcError
+
+        server = self.servers[leader]
+        owned = server.bytes_owned_by
+        live = [c for i, c in enumerate(self.clients) if i not in self.killed]
+        before = {c.session_identity: owned(c.session_identity) for c in live}
+
+        def tick() -> None:
+            for client in live:
+                try:
+                    client.renew_lease()
+                except (RpcError, CudaError):
+                    pass  # a survivor whose session lapses shows up below
+            server.reap_sessions()
+
+        lease_s = _session_lease_s(self.plan)
+        advance_past_grace(self.clock, lease_s, lease_s, on_tick=tick)
+        leaked = {
+            self.client_names[i]: owned(self.clients[i].session_identity)
+            for i in sorted(self.killed)
+        }
+        problems = [f"killed {name} still owns {n} bytes" for name, n in leaked.items() if n]
+        changed = sorted(identity for identity, n in before.items() if owned(identity) != n)
+        if changed:
+            problems.append(f"live sessions {changed} changed their bytes")
+        live_bytes = sum(map(owned, before))
+        if _used_bytes(server) != live_bytes:
+            problems.append(
+                f"allocator holds {_used_bytes(server)} bytes, live clients own {live_bytes}"
+            )
+        return [
+            Violation(kind=SESSION_LEAK, detail="; ".join(problems), node=leader, index=index)
+        ] if problems else []
+
     # -- nemesis appliers ---------------------------------------------------
 
     def apply(self, event: NemesisEvent) -> None:
@@ -295,6 +346,7 @@ class _Cluster:
             DRAIN_RESTORE: self._apply_drain_restore,
             MIGRATE: self._apply_migrate,
             BUG_DOUBLE_EXECUTE: self._apply_bug_double_execute,
+            KILL_CLIENT: self._apply_kill_client,
         }[event.kind]
         handler(event)
 
@@ -333,11 +385,12 @@ class _Cluster:
         name, server = self.leader()
         if not name or server.killed:
             return
-        if event.params.get("dangerous"):
-            # Crash after executing (and replicating) the next call but
-            # before its reply leaves -- the at-most-once worst case.
+        live = [c for i, c in enumerate(self.client_names) if i not in self.killed]
+        if event.params.get("dangerous") and live:
+            # Crash after executing (and replicating) a live client's next
+            # call but before its reply leaves -- the at-most-once worst case.
             slot = 0 if name == "primary" else 1
-            self.loopbacks[self.client_names[0]][slot].kill_after_next_execute()
+            self.loopbacks[live[0]][slot].kill_after_next_execute()
         else:
             server.kill()
 
@@ -445,6 +498,9 @@ class _Cluster:
         _, server = self.leader()
         server.arm_double_execution(int(event.params.get("count", 1)))
 
+    def _apply_kill_client(self, event: NemesisEvent) -> None:
+        self.killed.add(int(event.params.get("client", 0)) % self.plan.clients)
+
     # -- operational events (single topology) --------------------------------
 
     def _swap_server(self, new_server) -> None:
@@ -467,7 +523,7 @@ class _Cluster:
             return
         old.shutdown(drain=True)
         blob = old.drain_checkpoint
-        new_server = _make_server(self.clock)
+        new_server = _make_server(self.clock, self.plan)
         if blob is not None:
             restore_server(new_server, blob)
         self._swap_server(new_server)
@@ -495,12 +551,11 @@ class _Cluster:
         faulted = any(key in params for key in _MIGRATE_FAULTS)
         scratch = tempfile.TemporaryDirectory(prefix="sim-mig-") if faulted else nullcontext()
         with scratch as tmpdir:
-            storage = FileStorage(tmpdir) if faulted else None
-            journal = storage and FaultyStorage(storage, StorageFaultPlan(
+            journal = FaultyStorage(FileStorage(tmpdir), StorageFaultPlan(
                 torn_write_next=int(params.get("torn_journal", 0)), seed=self.plan.seed,
-            ))
-            source = MigrationSource(old, storage=storage)
-            target = MigrationTarget(_make_server(self.clock), storage=journal)
+            )) if faulted else None
+            source = MigrationSource(old)
+            target = MigrationTarget(_make_server(self.clock, self.plan), storage=journal)
             channel = None
             if faulted:
                 channel = _TargetKillChannel(
@@ -569,22 +624,35 @@ def _used_bytes(server) -> int:
     return sum(d.allocator.used_bytes for d in server.devices)
 
 
-def _make_server(clock):
+def _session_lease_s(plan: SimulationPlan) -> float:
+    """Session lease, and grace, of every simulated server.
+
+    Twice the horizon, so no live client's session lapses mid-run (the
+    grace too: a transport disconnect orphans a session at once) while
+    the session-leak audit can still march past both.
+    """
+    return 2 * plan.horizon_s
+
+
+def _make_server(clock, plan: SimulationPlan):
     from repro.cricket.server import CricketServer
     from repro.gpu.catalog import A100
     from repro.gpu.device import GpuDevice
     from repro.resilience.health import LatencySLO
 
+    lease_s = _session_lease_s(plan)
     return CricketServer(
         [GpuDevice(A100, execute=True), GpuDevice(A100, execute=True)],
         clock=clock,
         brownout=True,
         checkpoint_slo=LatencySLO(target_p99_ns=int(50e6), min_samples=4),
+        lease_s=lease_s,
+        grace_s=lease_s,
     )
 
 
 def _build_cluster(
-    plan: SimulationPlan, recorder: HistoryRecorder, clock
+    plan: SimulationPlan, recorder: HistoryRecorder, clock, ckpt_dir: str
 ) -> _Cluster:
     from repro.cricket.ckptstore import CheckpointStore, FileStorage
     from repro.cricket.client import CricketClient
@@ -613,8 +681,8 @@ def _build_cluster(
     retry = RetryPolicy(max_attempts=30, deadline_s=None)
 
     if plan.topology == "ha_pair":
-        primary = _make_server(clock)
-        standby = _make_server(clock)
+        primary = _make_server(clock, plan)
+        standby = _make_server(clock, plan)
         witness = Witness(clock, lease_s=plan.lease_s)
         state = PartitionState(PartitionPlan(), clock)
         witness.link_filter = state.link_filter()
@@ -648,7 +716,7 @@ def _build_cluster(
         store_server = primary
         server_names = ("primary", "standby")
     else:
-        server = _make_server(clock)
+        server = _make_server(clock, plan)
         cluster.servers = {"server": server}
         server.execution_taps.append(recorder.execution_tap("server"))
         store_server = server
@@ -656,7 +724,7 @@ def _build_cluster(
 
     # checkpoint store behind injectable storage (torn / slow-fsync events)
     faulty_storage = FaultyStorage(
-        FileStorage(tempfile.mkdtemp(prefix="sim-ckpt-")),
+        FileStorage(ckpt_dir),
         StorageFaultPlan(seed=plan.seed),
         clock=clock,
     )
@@ -741,6 +809,14 @@ def run_simulation(
     the identical workload stream, because the workload RNG derives from
     the seed independently of the nemesis draws.
     """
+    # The checkpoint store's directory lives exactly as long as the run.
+    with tempfile.TemporaryDirectory(prefix="sim-ckpt-") as ckpt_dir:
+        return _run(plan, schedule, ckpt_dir)
+
+
+def _run(
+    plan: SimulationPlan, schedule: list[NemesisEvent] | None, ckpt_dir: str
+) -> SimulationResult:
     from repro.net.simclock import SimClock
 
     nemesis_rng = random.Random((plan.seed << 4) ^ _NEMESIS_STREAM)
@@ -767,7 +843,7 @@ def run_simulation(
 
     clock = SimClock()
     recorder = HistoryRecorder(clock)
-    cluster = _build_cluster(plan, recorder, clock)
+    cluster = _build_cluster(plan, recorder, clock, ckpt_dir)
 
     outcomes: dict[str, int] = {}
     applied: list[str] = []
@@ -927,15 +1003,18 @@ def run_simulation(
             cluster.apply(payload)
         else:
             _, index, op_r, pick_r = payload
-            run_step(index, op_r, pick_r)
+            if index not in cluster.killed:
+                run_step(index, op_r, pick_r)
 
     # -- heal, converge, audit ----------------------------------------------
 
     cluster.heal_all()
     clock.advance_s(max(plan.lease_s * 2, 0.5))
 
+    # Killed clients make no more calls: no converging write, no final read.
+    live = [i for i in range(plan.clients) if i not in cluster.killed]
     # one converging write per client forces failover/reconnect to settle
-    for index in range(plan.clients):
+    for index in live:
         do_write(index)
 
     final_name, final_server = cluster.leader()
@@ -943,16 +1022,16 @@ def run_simulation(
     if plan.topology == "ha_pair" and final_name:
         fence = cluster.fences[final_name]
         converged = all(
-            c.leader_epoch == fence.epoch
-            and c.active_endpoint_name == final_name
-            for c in cluster.clients
+            cluster.clients[i].leader_epoch == fence.epoch
+            and cluster.clients[i].active_endpoint_name == final_name
+            for i in live
         )
     # A killed server keeps its fence state; only a live one still leads.
     leader = "" if final_server.killed else final_name
 
     # Final read of every pointer each client still believes live: the
     # checker's read-your-writes property needs the evidence.
-    for index in range(plan.clients):
+    for index in live:
         cname = cluster.client_names[index]
         client = cluster.clients[index]
         size = min(plan.alloc_bytes, 256)
@@ -969,13 +1048,15 @@ def run_simulation(
     violations += cluster.migration_violations
     events = list(recorder.events)
     fingerprint = recorder.fingerprint()
+
+    # Cluster audits run on the sealed history: probes cannot move it.
+    if cluster.killed and leader:
+        violations += cluster.session_leak_violations(leader, len(events) - 1)
     counters = final_server.server_stats.as_dict()
     epochs_served = {
         name: sorted(fence.epochs_served)
         for name, fence in cluster.fences.items()
     }
-
-    # Cluster audits run on the sealed history: probes cannot move it.
     violations += cluster.fence_violations(leader, len(events) - 1)
     if leader and not converged:
         violations.append(Violation(

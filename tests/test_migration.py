@@ -119,7 +119,7 @@ class TestLiveMigration:
         channel = FaultyMigrationChannel(
             LoopbackMigrationChannel(target), disconnect_before={3}
         )
-        mig = MigrationSource(source, storage=str(tmp_path))
+        mig = MigrationSource(source)
         report = migrate_live(mig, target, channel)
         assert report.completed
         assert report.resumes == 1
@@ -165,7 +165,7 @@ class TestLiveMigration:
     def test_target_kill_recovers_from_journal(self, tmp_path):
         source, _client, _ptrs = populated(allocs=6, size=192 * 1024)
         fingerprint = state_fingerprint(source)
-        mig = MigrationSource(source, storage=str(tmp_path))
+        mig = MigrationSource(source)
         first = MigrationTarget(small_server(), storage=str(tmp_path))
         channel = FaultyMigrationChannel(
             LoopbackMigrationChannel(first), disconnect_before={4}

@@ -25,11 +25,28 @@ from repro.cuda.errors import CudaError
 from repro.oncrpc import RpcServer, RpcTransportError, client_token_auth
 from repro.oncrpc import message as msg
 from repro.resilience import (
-    ChaosHarness,
-    ChaosPlan,
     ReconnectingTransport,
     ServerStats,
+    chaos_seeds,
     null_probe,
+)
+from repro.resilience.simulation import (
+    DRAIN_RESTORE,
+    KILL_CLIENT,
+    KILL_PRIMARY,
+    LIMP_ENDPOINT,
+    MIGRATE,
+    OUTCOME_OK,
+    SESSION_LEAK,
+    TOPOLOGIES,
+    TRANSPORT_FAULTS,
+    NemesisEvent,
+    SimulationPlan,
+    load_trace,
+    replay_trace,
+    run_simulation,
+    save_trace,
+    shrink_schedule,
 )
 
 MB = 1 << 20
@@ -429,30 +446,146 @@ class TestServerCounters:
         assert "server.sessions_opened" in tracer.summary()
 
 
+# -- client kills in the nemesis simulator --------------------------------------
+
+
+def _kill(at_s, client):
+    return NemesisEvent(at_s, KILL_CLIENT, {"client": client})
+
+
+def _identity(index):
+    """Session identity of simulated client ``index`` (its stable token)."""
+    return f"token:{f'client{index}'.encode().hex()}"
+
+
+def _acked_bytes(result, index):
+    """Device bytes client ``index`` holds per its acked mallocs and frees."""
+    acked = [
+        e.op for e in result.events
+        if e.kind == "return" and e.node == f"client{index}" and e.outcome == OUTCOME_OK
+    ]
+    return (acked.count("malloc") - acked.count("free")) * result.plan.alloc_bytes
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """The servers the session-leak audit reaped, one entry per reap."""
+    servers = []
+    reap = CricketServer.reap_sessions
+
+    def spy(self):
+        servers.append(self)
+        return reap(self)
+
+    monkeypatch.setattr(CricketServer, "reap_sessions", spy)
+    return servers
+
+
+def _used(server):
+    return sum(d.allocator.used_bytes for d in server.devices)
+
+
 class TestChaos:
-    def test_seeded_chaos_run_is_leak_free(self):
-        result = ChaosHarness(ChaosPlan(clients=4, rounds=3, kills=2, seed=7)).run()
-        assert result.leaked_bytes_before_reap > 0  # the kills did leak...
-        assert result.leaked_bytes_after_reap == 0  # ...until the reaper ran
-        assert result.clean
-        assert len(result.killed) == 2
-        assert len(result.survivors) == 2
-        assert result.counters["server.sessions_reclaimed"] == 2
-        assert result.counters["server.bytes_reclaimed"] == (
-            result.leaked_bytes_before_reap
-        )
+    def test_seeded_chaos_run_is_leak_free(self, audited):
+        # Two of four clients die mid-run, like crashed unikernels: no
+        # frees, no goodbye.  The reaper returns exactly what they held.
+        plan = SimulationPlan(topology="single", seed=7, clients=4)
+        result = run_simulation(plan, schedule=[_kill(3.0, 1), _kill(7.0, 3)])
+        assert result.clean, result.violations
+        assert set(result.outcomes) == {OUTCOME_OK}  # no ambiguous op
+        leaked = _acked_bytes(result, 1) + _acked_bytes(result, 3)
+        assert leaked > 0  # the kills did leak...
+        assert result.counters["server.bytes_reclaimed"] == leaked  # ...until the reap
+        server = audited[-1]
+        assert {id(s) for s in audited} == {id(server)}  # the audit reaped the leader
+        for index in (1, 3):
+            assert server.sessions.lookup(_identity(index)) is None
+        survivors = sum(server.bytes_owned_by(_identity(i)) for i in (0, 2))
+        assert survivors == _acked_bytes(result, 0) + _acked_bytes(result, 2) > 0
+        assert _used(server) == survivors
 
     def test_chaos_is_deterministic(self):
-        plan = ChaosPlan(clients=5, rounds=4, kills=3, seed=123)
-        first = ChaosHarness(plan).run()
-        second = ChaosHarness(plan).run()
-        assert first.leaked_bytes_before_reap == second.leaked_bytes_before_reap
-        assert first.survivor_bytes == second.survivor_bytes
+        plan = SimulationPlan(topology="ha_pair", seed=123, clients=5)
+        schedule = [_kill(2.0, 0), _kill(5.0, 2), _kill(9.0, 4)]
+        first = run_simulation(plan, schedule=schedule)
+        second = run_simulation(plan, schedule=schedule)
+        assert first.clean, first.violations
+        assert first.fingerprint == second.fingerprint
         assert first.counters == second.counters
 
-    def test_chaos_plan_validation(self):
-        with pytest.raises(ValueError):
-            ChaosPlan(clients=2, kills=2)
+    def test_killing_every_client_frees_everything(self, audited):
+        plan = SimulationPlan(topology="single", seed=3)
+        result = run_simulation(plan, schedule=[_kill(3.0, 0), _kill(5.0, 1)])
+        assert result.clean, result.violations
+        assert result.counters["server.bytes_reclaimed"] > 0
+        assert _used(audited[-1]) == 0
+
+    def test_no_kill_no_audit(self, audited):
+        # Generated schedules never draw a client kill, so they never
+        # pay for (or get perturbed by) the audit.
+        result = run_simulation(SimulationPlan(topology="single", seed=0))
+        assert KILL_CLIENT not in result.applied
+        assert audited == []
+        assert result.counters["server.sessions_reclaimed"] == 0
+
+    @pytest.mark.parametrize("topology, event", [
+        ("ha_pair", NemesisEvent(6.0, KILL_PRIMARY, {"dangerous": True})),
+        ("single", NemesisEvent(6.0, MIGRATE, {"disconnect_before": [3]})),
+        ("single", NemesisEvent(6.0, DRAIN_RESTORE, {})),
+    ], ids=["kill_primary", "migrate", "drain_restore"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kill_beside_a_server_handoff_is_clean(self, audited, topology, event, seed):
+        # The killed client's session must travel with the session table
+        # (replication, migration, drain checkpoint) for the new server's
+        # reaper to give its memory back.  Killing client 0 also checks
+        # that a dangerous primary kill still fires on a live client.
+        plan = SimulationPlan(topology=topology, seed=seed)
+        result = run_simulation(plan, schedule=[_kill(3.0, 0), event])
+        assert result.clean, result.violations
+        assert result.applied == [KILL_CLIENT, event.kind]
+        assert result.final_leader == ("standby" if topology == "ha_pair" else "server")
+        assert result.counters["server.bytes_reclaimed"] > 0
+        assert audited[-1].sessions.lookup(_identity(0)) is None
+
+    def test_reaper_that_frees_nothing_is_a_session_leak(self, monkeypatch):
+        monkeypatch.setattr(CricketServer, "release_ledger", lambda self, ledger: 0)
+        plan = SimulationPlan(topology="single", seed=0)
+        kill = _kill(5.0, 1)
+        schedule = [
+            NemesisEvent(2.0, TRANSPORT_FAULTS, {"client": 0, "duration_s": 0.5}),
+            kill,
+            NemesisEvent(8.0, LIMP_ENDPOINT, {"client": 0, "duration_s": 0.5}),
+        ]
+        result = run_simulation(plan, schedule=schedule)
+        assert SESSION_LEAK in result.violation_kinds()
+        minimal, _ = shrink_schedule(plan, schedule, kinds=[SESSION_LEAK])
+        assert minimal == [kill]
+
+    def test_kill_trace_replays(self, tmp_path):
+        plan = SimulationPlan(topology="ha_pair", seed=2)
+        schedule = [_kill(4.0, 0), NemesisEvent(6.0, KILL_PRIMARY, {"dangerous": False})]
+        result = run_simulation(plan, schedule=schedule)
+        trace = tmp_path / "kill.json"
+        save_trace(str(trace), plan, schedule, result)
+        _, loaded, _ = load_trace(str(trace))
+        assert loaded == schedule
+        assert replay_trace(str(trace)).fingerprint == result.fingerprint
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("seed", chaos_seeds(default=tuple(range(5))))
+def test_client_kill_soak(topology, seed):
+    # Two of four clients die inside a generated fault schedule.
+    plan = SimulationPlan(topology=topology, seed=seed, clients=4)
+    generated = run_simulation(plan).schedule
+    kills = [_kill(0.3 * plan.horizon_s, seed), _kill(0.6 * plan.horizon_s, seed + 1)]
+    result = run_simulation(
+        plan, schedule=sorted(generated + kills, key=lambda e: e.at_s)
+    )
+    assert result.clean, result.violations
+    if result.final_leader:
+        assert result.counters["server.bytes_reclaimed"] > 0
 
 
 class TestCheckpointCarriesSessions:

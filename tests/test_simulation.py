@@ -12,6 +12,7 @@ fire on deliberately broken fences.
 
 import json
 import random
+import tempfile
 
 import pytest
 
@@ -22,8 +23,11 @@ from repro.resilience.simulation import (
     DOUBLE_EXECUTION,
     GPU_THROTTLE,
     HA_PAIR_KINDS,
+    KILL_CLIENT,
+    MIGRATE,
     NOT_CONVERGED,
     PARTITION,
+    SESSION_LEAK,
     SINGLE_KINDS,
     SPLIT_BRAIN,
     STALE_LEADER,
@@ -97,6 +101,7 @@ class TestNemesisSchedule:
             )
             assert {event.kind for event in schedule} <= set(kinds)
             assert BUG_DOUBLE_EXECUTE not in {event.kind for event in schedule}
+            assert KILL_CLIENT not in {event.kind for event in schedule}
 
     def test_events_jsonable_round_trip(self):
         schedule = generate_schedule(
@@ -134,6 +139,14 @@ class TestDeterminism:
         assert quiet.clean, quiet.violations
         assert quiet.applied == []
         assert quiet.fingerprint == run_simulation(plan, schedule=[]).fingerprint
+
+    def test_runs_leave_no_temporary_directories(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = SimulationPlan(topology="single", seed=0, steps=12, horizon_s=6.0)
+        run_simulation(plan, schedule=[NemesisEvent(3.0, MIGRATE, {"torn_journal": 1})])
+        with pytest.raises(KeyError):  # the exit path of a crashing run
+            run_simulation(plan, schedule=[NemesisEvent(3.0, "no_such_kind")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCleanSeeds:
@@ -216,7 +229,7 @@ _HEAL_DIVERGENCE = NemesisEvent(
 
 class TestClusterAudits:
     def test_audit_kinds_are_violation_kinds(self):
-        assert {SPLIT_BRAIN, STALE_LEADER, NOT_CONVERGED} <= set(VIOLATION_KINDS)
+        assert {SPLIT_BRAIN, STALE_LEADER, NOT_CONVERGED, SESSION_LEAK} <= set(VIOLATION_KINDS)
 
     def test_fence_that_always_admits_is_a_stale_leader(self, monkeypatch):
         monkeypatch.setattr(
